@@ -266,7 +266,7 @@ let profile_demo () =
            List.init 8 (fun i ->
                Process.spawn proc (fun th ->
                    Process.migrate th (i mod 4);
-                   Process.read th ~site:"grp.scan" (text + (i * 32768))
+                   Process.read_range th ~site:"grp.scan" (text + (i * 32768))
                      ~len:32768;
                    for m = 1 to 20 do
                      ignore
@@ -310,7 +310,7 @@ let ablation () =
                  Process.spawn proc (fun th ->
                      Process.migrate th 1;
                      Sync.Barrier.await th barrier;
-                     Process.read th ~site:"storm" buf
+                     Process.read_range th ~site:"storm" buf
                        ~len:(storm_pages * 4096)))
            in
            List.iter Process.join threads));
@@ -393,10 +393,8 @@ let ablation () =
      round-trips (one demand fault resolves up to prefetch_depth extra
      pages, and multi-page grants ride the RDMA path). *)
   let scan_pages = if !tiny then 64 else 512 in
-  let scan ~prefetch =
-    let proto =
-      { Dex_proto.Proto_config.default with prefetch_enabled = prefetch }
-    in
+  let scan prefetch_depth =
+    let proto = { Dex_proto.Proto_config.default with prefetch_depth } in
     let cl = Dex.cluster ~nodes:2 ~proto () in
     let coh = ref None in
     ignore
@@ -421,8 +419,8 @@ let ablation () =
       + Dex_sim.Stats.get fstats "sent.page_req_batch",
       stats )
   in
-  let t_on, faults_on, req_on, pstats = scan ~prefetch:true in
-  let t_off, faults_off, req_off, _ = scan ~prefetch:false in
+  let t_on, faults_on, req_on, pstats = scan 8 in
+  let t_off, faults_off, req_off, _ = scan 0 in
   Format.printf "  %-24s %12s %14s %16s@." "" "sim time" "read faults"
     "page requests";
   Format.printf "  %-24s %10.2fms %14d %16d@." "prefetch ON"
@@ -819,7 +817,7 @@ let failover_bench () =
       {
         Dex_proto.Proto_config.default with
         Dex_proto.Proto_config.replication = mode;
-        standby_count = k;
+        standbys = `Lowest k;
         on_crash = `Rehome;
       }
     in
@@ -906,8 +904,7 @@ let shard_bench () =
     let proto =
       {
         Dex_proto.Proto_config.default with
-        Dex_proto.Proto_config.sharding =
-          (if shards = 1 then `Off else `Range shards);
+        Dex_proto.Proto_config.sharding = `Range shards;
         (* Same cost model for every row, including the unsharded
            baseline: each home's handler is one service loop. *)
         serial_home_service = true;
@@ -1013,11 +1010,7 @@ let autopilot_bench () =
     "Placement autopilot: closing the Initial->Optimized gap online (Sec. IV)";
   let config = { Core_config.default with cores_per_node = 16 } in
   let ap_config =
-    {
-      config with
-      Core_config.autopilot = true;
-      autopilot_interval = Time_ns.us 100;
-    }
+    { config with Core_config.autopilot = Some (Time_ns.us 100) }
   in
   let show name descr run =
     Format.printf "@.  %s — %s@." name descr;
@@ -1219,7 +1212,7 @@ let serve_bench () =
         })
   in
   let base rate =
-    { SC.default with SC.tenants = tenants rate; duration; shed = false }
+    { SC.default with SC.tenants = tenants rate; duration; shed_after = None }
   in
   let fleet (r : S.result) =
     List.fold_left
@@ -1247,7 +1240,8 @@ let serve_bench () =
   Format.printf "  %-10s %9s %8s %9s %6s %9s %9s %9s@." "load" "offered"
     "rejected" "shed" "compl" "p50(us)" "p99(us)" "p999(us)";
   let point ?(shed = false) mult =
-    let r = S.run { (base (mult *. sat)) with SC.shed } in
+    let shed_after = if shed then SC.default.SC.shed_after else None in
+    let r = S.run { (base (mult *. sat)) with SC.shed_after } in
     let h = fleet r in
     Format.printf "  %4.1fx%s %9d %8d %9d %6d %9.1f %9.1f %9.1f@."
       mult
@@ -1303,7 +1297,7 @@ let serve_bench () =
           SC.default with
           SC.tenants = hog :: victims;
           duration;
-          shed = false;
+          shed_after = None;
           fair;
           gate_bytes_per_us = 512.0;
         }
@@ -1381,7 +1375,7 @@ let serve_bench () =
       SC.default with
       SC.tenants = tenants (0.5 *. sat);
       duration;
-      shed = false;
+      shed_after = None;
     }
   in
   (* Node 1 is tenant t0's second (worker) node; neighbours keep their

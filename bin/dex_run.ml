@@ -46,8 +46,8 @@ let shards_arg =
   in
   Arg.(value & opt int 0 & info [ "shards" ] ~docv:"SHARDS" ~doc)
 
-(* None when sharding is off: the apps then run with their historical
-   default-config behaviour, bit for bit. *)
+(* None for 0: the apps then run with the default one-shard protocol
+   ([--shards 1] is the same protocol, bit for bit). *)
 let proto_of_shards shards =
   if shards < 0 then begin
     Format.eprintf "--shards must be >= 0@.";
@@ -96,7 +96,11 @@ let run_cmd =
     let proto = proto_of_shards shards in
     let config =
       if autopilot then
-        Some { Dex_core.Core_config.default with autopilot = true }
+        Some
+          {
+            Dex_core.Core_config.default with
+            autopilot = Some Dex_sched.Autopilot.default.interval;
+          }
       else None
     in
     let r = entry.Dex_apps.Apps.run ~nodes ~variant ?config ?proto () in
@@ -159,7 +163,7 @@ let demo_workload ?net ?config ~nodes () =
                P.spawn proc (fun th ->
                    P.migrate th node;
                    Dex_core.Sync.Barrier.await th barrier;
-                   P.read th ~site:"table_scan" cold ~len:65536;
+                   P.read_range th ~site:"table_scan" cold ~len:65536;
                    for i = 1 to 40 do
                      P.store th ~site:"flag_update" hot (Int64.of_int i);
                      P.compute th ~ns:(Dex_sim.Time_ns.us 15)
@@ -500,7 +504,7 @@ let failover_cmd =
       {
         Dex_proto.Proto_config.default with
         Dex_proto.Proto_config.replication;
-        standby_count = standbys;
+        standbys = `Lowest standbys;
         on_crash = `Rehome;
       }
     in
@@ -685,8 +689,8 @@ let serve_cmd =
               });
         seed;
         duration = Dex_sim.Time_ns.us (int_of_float (1000.0 *. duration));
-        shed;
-        shed_after = Dex_sim.Time_ns.us shed_after_us;
+        shed_after =
+          (if shed then Some (Dex_sim.Time_ns.us shed_after_us) else None);
         fair = not fifo;
         ha;
       }
@@ -787,4 +791,16 @@ let main =
       failover_cmd; serve_cmd;
     ]
 
-let () = exit (Cmd.eval' main)
+(* Configuration validators reject bad values with [Invalid_argument]
+   (e.g. a node count the protocol cannot address); report those as a
+   one-line usage error rather than an internal failure. *)
+let () =
+  match Cmd.eval' ~catch:false main with
+  | code -> exit code
+  | exception Invalid_argument msg ->
+      Format.eprintf "dex_run: %s@." msg;
+      exit 2
+  | exception e ->
+      Format.eprintf "dex_run: internal error, uncaught exception:@.  %s@."
+        (Printexc.to_string e);
+      exit Cmd.Exit.internal_error

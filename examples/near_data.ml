@@ -24,7 +24,7 @@ let () =
          let producer =
            Process.spawn proc (fun th ->
                Process.migrate th 2;
-               Process.write th ~site:"produce" data ~len:(64 * 4096))
+               Process.write_range th ~site:"produce" data ~len:(64 * 4096))
          in
          Process.join producer;
          let ranges = [ (data, 64 * 4096) ] in
@@ -37,7 +37,7 @@ let () =
            Process.spawn proc (fun th ->
                let t0 = Dex_sim.Engine.now (Cluster.engine cl) in
                let node = Affinity.migrate_to_data th ~ranges in
-               Process.read th ~site:"consume" data ~len:(64 * 4096);
+               Process.read_range th ~site:"consume" data ~len:(64 * 4096);
                Format.printf
                  "consumer migrated to node %d and scanned locally in %a@."
                  node Dex_sim.Time_ns.pp

@@ -48,7 +48,6 @@ type ctx = {
 
 let run_app ~name ~nodes ~variant ?config ?proto ?(threads_per_node = 8)
     ?(seed = 7) body =
-  if nodes <= 0 then invalid_arg "run_app: nodes";
   let cl = Dex.cluster ?config ?proto ~nodes ~seed () in
   let checksum = ref 0L in
   let ctx_out = ref None in
@@ -56,17 +55,15 @@ let run_app ~name ~nodes ~variant ?config ?proto ?(threads_per_node = 8)
     Dex.run cl (fun proc main ->
         let core = Cluster.config cl in
         (* Attach before any worker spawns so no safe point is missed;
-           with the flag off (the default) nothing is installed and the
-           run is bit-identical. *)
-        if core.Core_config.autopilot then
-          ignore
-            (Dex_sched.Autopilot.attach
-               ~config:
-                 {
-                   Dex_sched.Autopilot.default with
-                   interval = core.Core_config.autopilot_interval;
-                 }
-               proc);
+           with [None] (the default) nothing is installed and the run is
+           bit-identical. *)
+        Option.iter
+          (fun interval ->
+            ignore
+              (Dex_sched.Autopilot.attach
+                 ~config:{ Dex_sched.Autopilot.default with interval }
+                 proc))
+          core.Core_config.autopilot;
         let ctx =
           {
             proc;

@@ -76,9 +76,9 @@ val run_app :
 (** Build the rack, run the application body as the process's main thread
     (its return value is the checksum), drive the simulation to completion
     and collect statistics. [config] overrides the node cost model —
-    with {!Core_config.autopilot} set, a {!Dex_sched.Autopilot} is
-    attached to the process before the body runs (ticking every
-    {!Core_config.autopilot_interval}), so any variant converges online
+    with {!Core_config.autopilot} set to [Some interval], a
+    {!Dex_sched.Autopilot} ticking every [interval] is attached to the
+    process before the body runs, so any variant converges online
     with zero application changes. [proto] overrides the protocol
     configuration (e.g. to turn on {!Dex_proto.Proto_config.sharding} or
     replication); defaults to {!Dex_proto.Proto_config.default}.

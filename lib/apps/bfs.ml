@@ -131,12 +131,13 @@ let body p ctx main =
       let plan = plan_for i in
       (* Fault in our share of the graph once. *)
       if count > 0 then begin
-        Process.read th ~site:"bfs.offsets" (offsets_addr + (first * 8))
+        Process.read_range th ~site:"bfs.offsets" (offsets_addr + (first * 8))
           ~len:((count + 1) * 8);
         let efirst = g.Workloads.offsets.(first) in
         let elast = g.Workloads.offsets.(first + count) in
         if elast > efirst then
-          Process.read th ~site:"bfs.targets" (targets_addr + (efirst * 8))
+          Process.read_range th ~site:"bfs.targets"
+            (targets_addr + (efirst * 8))
             ~len:((elast - efirst) * 8)
       end;
       List.iter
@@ -167,7 +168,7 @@ let body p ctx main =
               List.iteri
                 (fun k page ->
                   if k < p.sample_pages then
-                    Process.read th ~site:"bfs.level_check"
+                    Process.read_range th ~site:"bfs.level_check"
                       (levels_addr + (page * 4096))
                       ~len:8)
                 read_pages;
@@ -214,7 +215,7 @@ let body p ctx main =
                       own
                   end
                   else
-                    Process.write th ~site:"bfs.inbox_write"
+                    Process.write_range th ~site:"bfs.inbox_write"
                       (inbox_addr + (o * 16 * 4096))
                       ~len:(max 8 (n * 8)))
                 by_node;
@@ -227,7 +228,7 @@ let body p ctx main =
           | A.Optimized ->
               (* Drain our node's inbox (written by everyone last level). *)
               let me = A.node_of ctx i in
-              Process.read th ~site:"bfs.inbox_drain"
+              Process.read_range th ~site:"bfs.inbox_drain"
                 (inbox_addr + (me * 16 * 4096))
                 ~len:(16 * 4096)
           | A.Baseline | A.Initial -> ());

@@ -87,12 +87,12 @@ let body p ctx main =
           let pos = ref 0 in
           while !pos < count do
             let n = min p.chunk (count - !pos) in
-            Process.read th ~site:"blk.options_read"
+            Process.read_range th ~site:"blk.options_read"
               (options_addr + ((first + !pos) * 40))
               ~len:(n * 40);
             Process.compute th
               ~ns:(int_of_float (float_of_int n *. p.ns_per_option));
-            Process.write th ~site:"blk.price_write"
+            Process.write_range th ~site:"blk.price_write"
               (prices_addr + price_off i + (!pos * 8))
               ~len:(n * 8);
             pos := !pos + n

@@ -135,12 +135,12 @@ let body p ctx main =
         for _iter = 1 to p.iterations do
           (* Halo from the neighbouring slabs. *)
           if i > 0 then
-            Process.read th ~site:"bp.halo"
+            Process.read_range th ~site:"bp.halo"
               (slab_addr (i - 1) + (slab_stride (i - 1) - 8))
               ~len:8;
           if i < threads - 1 then
-            Process.read th ~site:"bp.halo" (slab_addr (i + 1)) ~len:8;
-          Process.read th ~site:"bp.sweep_read" my_slab ~len:slab_bytes;
+            Process.read_range th ~site:"bp.halo" (slab_addr (i + 1)) ~len:8;
+          Process.read_range th ~site:"bp.sweep_read" my_slab ~len:slab_bytes;
           (* Message updates: compute plus DRAM streaming through the
              node's contended memory channels. *)
           let pos = ref 0 in
@@ -155,7 +155,7 @@ let body p ctx main =
               (* Check the model parameters and the master's running
                  aggregate before the next chunk; the master republishes
                  as it goes. *)
-              Process.read th ~site:"bp.globals_check" globals_addr
+              Process.read_range th ~site:"bp.globals_check" globals_addr
                 ~len:globals_len;
               match ctx.A.variant with
               | A.Baseline | A.Initial ->
@@ -175,7 +175,7 @@ let body p ctx main =
             pos := !pos + n
           done;
           relax beliefs ~first ~count;
-          Process.write th ~site:"bp.sweep_write" my_slab ~len:slab_bytes;
+          Process.write_range th ~site:"bp.sweep_write" my_slab ~len:slab_bytes;
           (* With the globals protocol, worker convergence flows through
              the master's aggregate and only the master touches the
              legacy flag — in every variant. *)

@@ -80,7 +80,7 @@ let body p ctx main =
       let mine = host_tallies.(i) in
       let process index =
         (* Loop ranges and constants are consulted for every batch. *)
-        Process.read th ~site:"ep.params_read" params_addr ~len:128;
+        Process.read_range th ~site:"ep.params_read" params_addr ~len:128;
         Process.compute th ~ns:batch_ns;
         tally_batch ~seed:ctx.A.seed ~index ~batch:p.batch mine
       in

@@ -116,7 +116,7 @@ let body p positions ctx main =
         while !pos < off + len do
           let chunk = min p.chunk_bytes (off + len - !pos) in
           A.nfs_read ctx ~bytes:chunk;
-          Process.write th ~site:"grp.fill_buffer" (buf + (!pos - off))
+          Process.write_range th ~site:"grp.fill_buffer" (buf + (!pos - off))
             ~len:chunk;
           (match ctx.A.variant with
           | A.Baseline | A.Initial ->

@@ -158,13 +158,13 @@ let body p ctx main =
         Array.fill counts 0 (Array.length counts) 0;
         (* Fault in our point partition (resident after iteration 1). *)
         if count > 0 then
-          Process.read th ~site:"kmn.points" (points_addr + (first * 24))
+          Process.read_range th ~site:"kmn.points" (points_addr + (first * 24))
             ~len:(count * 24);
         let pos = ref first in
         while !pos < first + count do
           let n = min p.chunk_points (first + count - !pos) in
           (* Distance computation against every center. *)
-          Process.read th ~site:"kmn.centers_read" centers_addr
+          Process.read_range th ~site:"kmn.centers_read" centers_addr
             ~len:centers_bytes;
           Process.compute th ~ns:(chunk_ns * n / p.chunk_points);
           let changed =
@@ -172,14 +172,14 @@ let body p ctx main =
               ~count:n
           in
           (* Record assignments for our own points. *)
-          Process.write th ~site:"kmn.membership"
+          Process.write_range th ~site:"kmn.membership"
             (membership_addr + (!pos * 4))
             ~len:(n * 4);
           (match ctx.A.variant with
           | A.Baseline | A.Initial ->
               (* The original implementation folds into the global
                  accumulators and flips the shared flag as it goes. *)
-              Process.write th ~site:"kmn.sums_update" gsums_addr
+              Process.write_range th ~site:"kmn.sums_update" gsums_addr
                 ~len:(centers_bytes + (p.clusters * 8));
               if changed > 0 then
                 Process.store th ~site:"kmn.flag_update" flag_addr 1L
@@ -189,7 +189,7 @@ let body p ctx main =
         (match ctx.A.variant with
         | A.Optimized ->
             (* Locally staged: publish once per iteration. *)
-            Process.write th ~site:"kmn.sums_update" gsums_addr
+            Process.write_range th ~site:"kmn.sums_update" gsums_addr
               ~len:(centers_bytes + (p.clusters * 8))
         | A.Baseline | A.Initial -> ());
         Sync.Barrier.await th barrier;
@@ -205,7 +205,7 @@ let body p ctx main =
           done;
           centers := new_centers p sums counts !centers;
           Process.compute th ~ns:(p.clusters * 3 * threads * 2);
-          Process.write th ~site:"kmn.centers_write" centers_addr
+          Process.write_range th ~site:"kmn.centers_write" centers_addr
             ~len:centers_bytes;
           Process.store th ~site:"kmn.flag_reset" flag_addr 0L
         end;

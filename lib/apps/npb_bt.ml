@@ -120,19 +120,20 @@ let body p ctx main =
             (match ctx.A.variant with
             | A.Baseline | A.Initial ->
                 (* OpenMP shared variables on the parent's stack. *)
-                Process.read th ~site:"bt.parent_stack" parent_stack ~len:64
+                Process.read_range th ~site:"bt.parent_stack" parent_stack
+                  ~len:64
             | A.Optimized -> ());
-            Process.read th ~site:"bt.params_read" params_addr ~len:256;
+            Process.read_range th ~site:"bt.params_read" params_addr ~len:256;
             if count > 0 then begin
               let my_slab = slab_addr i in
               (* Boundary exchange with the neighbouring slabs. *)
               if i > 0 then
-                Process.read th ~site:"bt.halo" (slab_addr (i - 1)
+                Process.read_range th ~site:"bt.halo" (slab_addr (i - 1)
                   + ((slab_stride (i - 1)) - cell_bytes)) ~len:cell_bytes;
               if i < threads - 1 then
-                Process.read th ~site:"bt.halo" (slab_addr (i + 1))
+                Process.read_range th ~site:"bt.halo" (slab_addr (i + 1))
                   ~len:cell_bytes;
-              Process.read th ~site:"bt.slab_read" my_slab
+              Process.read_range th ~site:"bt.slab_read" my_slab
                 ~len:(count * cell_bytes);
               let pos = ref 0 in
               while !pos < count do
@@ -140,7 +141,7 @@ let body p ctx main =
                 Process.compute th
                   ~ns:(int_of_float (float_of_int n *. p.ns_per_cell));
                 ignore (sweep grid ~first:(first + !pos) ~count:n);
-                Process.write th ~site:"bt.slab_write"
+                Process.write_range th ~site:"bt.slab_write"
                   (my_slab + (!pos * cell_bytes))
                   ~len:(n * cell_bytes);
                 (match ctx.A.variant with
@@ -167,7 +168,7 @@ let body p ctx main =
     for _region = 1 to p.regions_per_step do
       incr region_of_step;
       (* Parent sets up the region: stack values and a written global. *)
-      Process.write main ~site:"bt.parent_setup" parent_stack ~len:64;
+      Process.write_range main ~site:"bt.parent_setup" parent_stack ~len:64;
       Process.store main ~site:"bt.step_count" norm_addr
         (Int64.of_int !region_of_step);
       Sync.Barrier.await main barrier;

@@ -90,12 +90,12 @@ let body p ctx main =
         let _, count = A.partition ~total:p.grid_bytes ~parts:threads ~index:i in
         let my_slab = slab_addr i in
         let pass site =
-          Process.read th ~site:"ft.params_read" params_addr ~len:256;
+          Process.read_range th ~site:"ft.params_read" params_addr ~len:256;
           if count > 0 then begin
-            Process.read th ~site my_slab ~len:count;
+            Process.read_range th ~site my_slab ~len:count;
             Process.compute th
               ~ns:(int_of_float (float_of_int count *. p.ns_per_byte));
-            Process.write th ~site my_slab ~len:count
+            Process.write_range th ~site my_slab ~len:count
           end
         in
         for _iter = 1 to p.iterations do
@@ -109,11 +109,11 @@ let body p ctx main =
           Sync.Barrier.await th barrier;
           (* Transpose: read everybody's slab, rewrite our own. *)
           if count > 0 then begin
-            Process.read th ~site:"ft.transpose_read" grid_addr
+            Process.read_range th ~site:"ft.transpose_read" grid_addr
               ~len:total_bytes;
             Process.compute th
               ~ns:(int_of_float (float_of_int count *. p.ns_per_byte *. 0.5));
-            Process.write th ~site:"ft.transpose_write" my_slab ~len:count
+            Process.write_range th ~site:"ft.transpose_write" my_slab ~len:count
           end;
           Sync.Barrier.await th barrier;
           (* Second FFT pass. *)

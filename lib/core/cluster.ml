@@ -16,7 +16,10 @@ type t = {
 
 let create ?(config = Core_config.default) ?net
     ?(proto = Dex_proto.Proto_config.default) ?(seed = 42) ~nodes () =
-  if nodes <= 0 then invalid_arg "Cluster.create: need at least one node";
+  if nodes <= 0 || nodes > Dex_mem.Node_set.max_nodes then
+    invalid_arg
+      (Printf.sprintf "Cluster.create: node count %d out of range [1, %d]"
+         nodes Dex_mem.Node_set.max_nodes);
   let net =
     match net with Some n -> n | None -> Dex_net.Net_config.default ~nodes ()
   in

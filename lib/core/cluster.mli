@@ -15,6 +15,9 @@ val create :
   nodes:int ->
   unit ->
   t
+(** Raises [Invalid_argument] unless [1 <= nodes <= ]
+    {!Dex_mem.Node_set.max_nodes}: every directory holds its reader set
+    in a {!Dex_mem.Node_set}. *)
 
 val engine : t -> Dex_sim.Engine.t
 

@@ -24,8 +24,7 @@ type t = {
   spawn_thread : Time_ns.t;
   file_op : Time_ns.t;
   storage_bytes_per_us : float;
-  autopilot : bool;
-  autopilot_interval : Time_ns.t;
+  autopilot : Time_ns.t option;
 }
 
 let default =
@@ -55,6 +54,5 @@ let default =
     file_op = Time_ns.of_us_f 2.4;
     (* NAS appliance shared by the rack over the fabric: ~12 GB/s. *)
     storage_bytes_per_us = 12_000.0;
-    autopilot = false;
-    autopilot_interval = Time_ns.us 250;
+    autopilot = None;
   }

@@ -56,16 +56,13 @@ type t = {
       (** VFS bookkeeping per delegated file operation *)
   storage_bytes_per_us : float;
       (** bandwidth of the NAS appliance backing the NFS share *)
-  autopilot : bool;
-      (** Off by default — simulated outputs are bit-identical to a
-          build without the autopilot. When on, the process layer
-          attaches {!Dex_sched.Autopilot}: fault traces are profiled
-          every {!field-autopilot_interval} and placement actions
-          (thread co-location, page re-homing, replicate-don't-invalidate
+  autopilot : Dex_sim.Time_ns.t option;
+      (** [None] by default — simulated outputs are bit-identical to a
+          build without the autopilot. [Some interval] attaches
+          {!Dex_sched.Autopilot} in the application runner: fault traces
+          are profiled every [interval] and placement actions (thread
+          co-location, page re-homing, replicate-don't-invalidate
           marking) are applied online, with no application changes. *)
-  autopilot_interval : Dex_sim.Time_ns.t;
-      (** profiling-window length between autopilot ticks (default
-          250 µs) *)
 }
 
 val default : t

@@ -547,9 +547,6 @@ let write_range th ?(site = "?") addr ~len =
       Coherence.access_range th.proc.coh ~node:th.location ~tid:th.tid ~site
         ~addr ~len ~access:Perm.Write ())
 
-let read = read_range
-let write = write_range
-
 let load th ?(site = "?") addr =
   guard th (fun () ->
       vma_check th ~addr ~len:8 ~access:Perm.Read ~queried:false;
@@ -1343,7 +1340,7 @@ let create cluster ?(origin = 0) () =
             let home = Coherence.shard_home coh ~shard in
             let standbys =
               match cfg.Dex_proto.Proto_config.standbys with
-              | Some l ->
+              | `Nodes l ->
                   List.iter
                     (fun s ->
                       if s < 0 || s >= nodes || (nshards = 1 && s = origin)
@@ -1361,9 +1358,8 @@ let create cluster ?(origin = 0) () =
                       "Process.create: standby list is empty once a \
                        shard's own home node is excluded";
                   l
-              | None ->
+              | `Lowest k ->
                   (* The k lowest-numbered non-home nodes. *)
-                  let k = cfg.Dex_proto.Proto_config.standby_count in
                   if k < 1 || k > nodes - 1 then
                     invalid_arg "Process.create: bad standby count";
                   List.filteri

@@ -33,9 +33,9 @@ val create : Cluster.t -> ?origin:int -> unit -> t
 (** Register a new process; [origin] defaults to node 0. When
     {!Dex_proto.Proto_config.replication} is not [`Off], this also arms
     replication towards the configured replica set
-    ({!Dex_proto.Proto_config.standbys}, default: the
-    [standby_count] lowest non-origin nodes) — one instance per shard
-    when {!Dex_proto.Proto_config.sharding} is on (each shard's own home
+    ({!Dex_proto.Proto_config.standbys}, default: the lowest
+    non-origin node) — one instance per shard when
+    {!Dex_proto.Proto_config.sharding} has several (each shard's own home
     node is excluded from its standby list; at most 64 shards per
     process) — see {!ha}. *)
 
@@ -154,19 +154,13 @@ val mprotect :
 
 val read_range : thread -> ?site:string -> Dex_mem.Page.addr -> len:int -> unit
 (** Bulk read: fault in every page of the range with read access. Emits a
-    stream hint: with {!Dex_proto.Proto_config.prefetch_enabled} the page
-    window is declared to the prefetcher up front, so the scan's faults
-    batch from the very first page and never overshoot the range. *)
+    stream hint: with a positive {!Dex_proto.Proto_config.prefetch_depth}
+    the page window is declared to the prefetcher up front, so the scan's
+    faults batch from the very first page and never overshoot the range. *)
 
 val write_range : thread -> ?site:string -> Dex_mem.Page.addr -> len:int -> unit
 (** Bulk write: acquire exclusive ownership of every page of the range.
     Same stream hint as {!read_range}. *)
-
-val read : thread -> ?site:string -> Dex_mem.Page.addr -> len:int -> unit
-(** Alias for {!read_range}. *)
-
-val write : thread -> ?site:string -> Dex_mem.Page.addr -> len:int -> unit
-(** Alias for {!write_range}. *)
 
 val load : thread -> ?site:string -> Dex_mem.Page.addr -> int64
 (** Typed DSM read of an 8-byte cell. *)

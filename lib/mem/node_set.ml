@@ -1,7 +1,9 @@
 type t = int
 
+let max_nodes = 63
+
 let check n =
-  if n < 0 || n > 62 then invalid_arg "Node_set: node id out of range"
+  if n < 0 || n >= max_nodes then invalid_arg "Node_set: node id out of range"
 
 let empty = 0
 
@@ -31,7 +33,7 @@ let to_list t =
   let rec go i acc =
     if i < 0 then acc else go (i - 1) (if mem t i then i :: acc else acc)
   in
-  go 62 []
+  go (max_nodes - 1) []
 
 let of_list l = List.fold_left add empty l
 

@@ -2,6 +2,11 @@
 
 type t = private int
 
+val max_nodes : int
+(** 63: one bit of a native int per node id, ids [0 .. max_nodes - 1].
+    The largest rack the protocol can address; [Dex_core.Cluster.create]
+    rejects bigger ones. *)
+
 val empty : t
 val singleton : int -> t
 val add : t -> int -> t

@@ -20,9 +20,9 @@ type batch_record = {
 }
 
 (* Page ownership is partitioned over [nshards] shards, each rooted at a
-   {e home node}. With sharding off there is exactly one shard, homed at
-   the origin — every array below then has a single slot and each code
-   path degenerates to the unsharded protocol bit-for-bit. *)
+   {e home node}. With one shard (the default) it is homed at the
+   origin — every array below then has a single slot and each code path
+   degenerates to the unsharded protocol bit-for-bit. *)
 type t = {
   fabric : Fabric.t;
   engine : Engine.t;
@@ -95,7 +95,6 @@ type t = {
 
 let shard_of t vpn =
   match t.cfg.Proto_config.sharding with
-  | `Off -> 0
   | `Hash n -> vpn mod n
   | `Range n -> vpn / 64 mod n
 
@@ -288,7 +287,6 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
   if origin < 0 || origin >= n then invalid_arg "Coherence.create: bad origin";
   let nshards =
     match cfg.Proto_config.sharding with
-    | `Off -> 1
     | `Hash s | `Range s ->
         if s < 1 then invalid_arg "Coherence.create: shard count must be >= 1";
         s
@@ -783,8 +781,13 @@ let origin_grant t ~shard ~home ~dir ~requester ~vpn ~access =
           ((not had_copy) || not t.cfg.Proto_config.grant_without_data)
           && requester <> home
         in
+        (* With [grant_without_data] off (the ablation) a requester that
+           already holds a valid copy is still charged the full page on
+           the wire, but keeps its own bytes: as exclusive owner its copy
+           is newer than the home's staging copy. *)
         let data =
-          if wire_data then snapshot_if_materialized t.stores.(home) vpn
+          if wire_data && not had_copy then
+            snapshot_if_materialized t.stores.(home) vpn
           else None
         in
         (* Both extras below can block; they run before the ghost re-check
@@ -824,7 +827,7 @@ let origin_grant t ~shard ~home ~dir ~requester ~vpn ~access =
       entry is busy are NACKed individually, never the whole batch;
    B. one parallel fan-out of all reclaims and (per victim node) all
       invalidations, batched into a single {!Messages.Invalidate_batch}
-      per target when [batch_revoke] is set;
+      per target;
    C. apply the directory transitions and unlock, snapshotting data per
       page, again in request order.
 
@@ -925,20 +928,10 @@ let origin_grant_batch t ~shard ~requester ~vpns ~access =
             !reclaims
           @ Hashtbl.fold
               (fun target cell acc ->
-                if t.cfg.Proto_config.batch_revoke then
-                  (fun () ->
-                    revoke_batch_rpc t ~shard ~home ~target
-                      ~vpns:(List.rev !cell))
-                  :: acc
-                else
-                  List.fold_left
-                    (fun acc vpn ->
-                      (fun () ->
-                        ignore
-                          (revoke_rpc t ~shard ~home ~target ~vpn
-                             ~mode:Messages.Invalidate ~want_data:false))
-                      :: acc)
-                    acc !cell)
+                (fun () ->
+                  revoke_batch_rpc t ~shard ~home ~target
+                    ~vpns:(List.rev !cell))
+                :: acc)
               victims []
         in
         fanout t ~label:"revoke" jobs;
@@ -963,7 +956,8 @@ let origin_grant_batch t ~shard ~requester ~vpns ~access =
                   && requester <> home
                 in
                 let data =
-                  if wire_data then snapshot_if_materialized t.stores.(home) vpn
+                  if wire_data && not had_copy then
+                    snapshot_if_materialized t.stores.(home) vpn
                   else None
                 in
                 unlock_one vpn;
@@ -1001,7 +995,7 @@ let backoff t ~node ~attempt =
 let claim_prefetch t ~node ~tid ~vpn ~access =
   let shard = shard_of t vpn in
   if
-    (not t.cfg.Proto_config.prefetch_enabled)
+    t.cfg.Proto_config.prefetch_depth <= 0
     || node = t.homes.(shard)
     || Hashtbl.mem t.page_view.(node) vpn
   then []
@@ -1357,7 +1351,7 @@ let access_range t ~node ~tid ?(site = "?") ~addr ~len ~access () =
      sharding on, the stream primes regardless of where this node sits:
      some of the range's shards are remote even from a home node. *)
   if
-    t.cfg.Proto_config.prefetch_enabled
+    t.cfg.Proto_config.prefetch_depth > 0
     && (node <> t.homes.(0) || t.nshards > 1)
     && last > first
   then Prefetch.prime t.pf ~node ~tid ~first ~last;

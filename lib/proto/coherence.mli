@@ -20,28 +20,29 @@
     granted without page data whenever the requester already holds an
     up-to-date copy (read → write upgrades).
 
-    With {!Proto_config.prefetch_enabled}, remote fault leaders feed a
-    per-(node, thread) {!Prefetch} stream detector and resolve up to
-    [prefetch_depth] predicted pages in the same round-trip via
+    With a positive {!Proto_config.prefetch_depth}, remote fault leaders
+    feed a per-(node, thread) {!Prefetch} stream detector and resolve up
+    to that many predicted pages in the same round-trip via
     [Page_request_batch]; the home locks, decides and traces each batched
     page individually (pages that lose the directory race are NACKed
     individually, never the whole batch), and coalesces the revocation
-    fan-out into one [Invalidate_batch] per victim node when
-    {!Proto_config.batch_revoke} is set. A revocation arriving at a node
-    for a page of an in-flight batch poisons that batch's record instead
-    of blocking: the requester discards poisoned grants when the reply
-    lands (the demand page then retries as if NACKed), which closes the
-    revoke-overtakes-grant race without ever making a home-side grant
-    fiber wait on another grant's reply.
+    fan-out into one [Invalidate_batch] per victim node. At depth 0 (the
+    default) the fault path never consults the detector. A revocation
+    arriving at a node for a page of an in-flight batch poisons that
+    batch's record instead of blocking: the requester discards poisoned
+    grants when the reply lands (the demand page then retries as if
+    NACKed), which closes the revoke-overtakes-grant race without ever
+    making a home-side grant fiber wait on another grant's reply.
 
     {2 Sharded homes}
 
-    With {!Proto_config.sharding} off there is exactly one shard, homed at
-    the origin, and every path below degenerates to the single-origin
-    protocol bit-for-bit. With [`Hash n] or [`Range n], page ownership is
-    partitioned over [n] shards by {!shard_of}, shard [s] homed at node
-    [(origin + s) mod node_count] — shard 0 always coincides with the
-    process origin, which keeps the delegated services there. Each shard
+    With one shard ({!Proto_config.sharding} at its default [`Hash 1])
+    every page is homed at the origin and every path below degenerates to
+    the single-origin protocol bit-for-bit. With [`Hash n] or [`Range n]
+    for [n > 1], page ownership is partitioned over [n] shards by
+    {!shard_of}, shard [s] homed at node [(origin + s) mod node_count] —
+    shard 0 always coincides with the process origin, which keeps the
+    delegated services there. Each shard
     has its own directory, epoch and (with replication) its own log and
     promotion path; faults, revocations and fences all resolve at the
     owning shard's home, so independent shards never serialize on one
@@ -103,7 +104,7 @@ val pid : t -> int
 (** The process id used to tag this instance's wire messages. *)
 
 val origin : t -> int
-(** The node homing shard 0 — the process origin. With sharding off this
+(** The node homing shard 0 — the process origin. With one shard this
     is the single home of every page. *)
 
 val cfg : t -> Proto_config.t
@@ -115,11 +116,11 @@ val node_count : t -> int
 (** {2 Shard geometry} *)
 
 val shard_count : t -> int
-(** Number of ownership shards: 1 with {!Proto_config.sharding} off. *)
+(** Number of ownership shards: the [n] of {!Proto_config.sharding}. *)
 
 val shard_of : t -> Dex_mem.Page.vpn -> int
-(** The shard owning a page: 0 when sharding is off, [vpn mod n] under
-    [`Hash n], [(vpn / 64) mod n] under [`Range n]. *)
+(** The shard owning a page: [vpn mod n] under [`Hash n],
+    [(vpn / 64) mod n] under [`Range n] — always 0 with one shard. *)
 
 val home_of : t -> Dex_mem.Page.vpn -> int
 (** The node currently homing a page's shard ([shard_home] of
@@ -146,8 +147,8 @@ val page_directory : t -> Dex_mem.Page.vpn -> Dex_mem.Directory.t
 
 val shard_load : t -> int array
 (** Per-shard count of grants served, a snapshot of the load vector
-    behind [shard.local_grants]/[shard.remote_grants]. All zeros when
-    sharding is off (per-shard accounting is gated on [shard_count > 1]).
+    behind [shard.local_grants]/[shard.remote_grants]. All zeros with
+    one shard (per-shard accounting is gated on [shard_count > 1]).
     Index [s] is shard [s]. *)
 
 val handler : t -> Dex_net.Fabric.env -> bool
@@ -220,7 +221,7 @@ val page_store : t -> node:int -> Dex_mem.Page_store.t
 (** [node]'s store of real page contents (typed accesses only). *)
 
 val directory : t -> Dex_mem.Directory.t
-(** Shard 0's ownership directory — with sharding off, the single origin
+(** Shard 0's ownership directory — with one shard, the single origin
     directory. Use {!shard_directory} for the others. *)
 
 val fault_table : t -> node:int -> [ `Done | `Retry ] Dex_mem.Fault_table.t
@@ -331,10 +332,10 @@ val reclaim_node : t -> node:int -> unit
     Installed by the process layer when {!Proto_config.replication} is on;
     all default to absent, in which case every path below is bit-identical
     to a build without them. All shard-indexed hooks receive the shard
-    number — with sharding off it is always 0. *)
+    number — with one shard it is always 0. *)
 
 val epoch : t -> int
-(** Shard 0's current epoch — with sharding off, {e the} origin epoch.
+(** Shard 0's current epoch — with one shard, {e the} origin epoch.
     Stamped on every outgoing coherence request for the shard (each node
     stamps its own {e view} of the epoch, which may lag until a
     [Page_stale] NACK or an in-band revocation teaches it the new one).
@@ -380,9 +381,9 @@ val promote : t ->
     it already held a valid copy of (its own copy is at least as fresh),
     the old home's local tables are reset, and the shard's epoch is
     bumped. Counted as [ha.promotions] (plus [shard.promotions] when
-    sharding is on). Raises [Invalid_argument] if [new_origin] is the
-    shard's current home or is itself declared dead. Call from the HA
-    promotion fiber only, then {!fence_survivors}. *)
+    there are several shards). Raises [Invalid_argument] if [new_origin]
+    is the shard's current home or is itself declared dead. Call from the
+    HA promotion fiber only, then {!fence_survivors}. *)
 
 val fence_survivors : t -> shard:int -> unit
 (** Broadcast [Epoch_fence] for [shard] from its (already promoted) new
@@ -404,7 +405,7 @@ val stats : t -> Dex_sim.Stats.t
     [crash.revokes_skipped], [crash.escalations], [crash.grants_refused];
     after a failover the [ha.*] family — [ha.promotions],
     [ha.epoch_fences], [ha.fence_zapped], [ha.stale_epoch_nacks],
-    [ha.stale_revokes], [ha.stalled_faults]; with sharding on the
+    [ha.stale_revokes], [ha.stalled_faults]; with several shards the
     [shard.*] family — [shard.homes] (the shard count, set once),
     [shard.local_grants]/[shard.remote_grants] (grants served to
     requesters co-located with / remote from the shard's home) and

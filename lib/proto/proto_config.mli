@@ -31,20 +31,14 @@ type t = {
   grant_without_data : bool;
       (** skip the page payload when the requester holds a valid copy
           (§III-B); disable for ablation — every grant then ships 4 KB *)
-  prefetch_enabled : bool;
-      (** sequential-stride prefetching: fault leaders on remote nodes
-          detect ascending/descending VPN streams and resolve up to
-          [prefetch_depth] predicted pages in the same round-trip as the
-          demand fault ({!Prefetch}). Off by default — the base protocol
-          then matches the paper exactly; bulk sequential scans are the
-          winners (see [bench/main.exe ablation]). *)
   prefetch_depth : int;
-      (** how many pages ahead of a detected stream one batched request
-          may claim; ignored when [prefetch_enabled] is false *)
-  batch_revoke : bool;
-      (** coalesce the revocation fan-out of a batched grant into one
-          {!Messages.Invalidate_batch} per victim node instead of one
-          [Revoke] RPC per (page, victim) pair *)
+      (** sequential-stride prefetching: fault leaders on remote nodes
+          detect ascending/descending VPN streams and resolve up to this
+          many predicted pages in the same round-trip as the demand fault
+          ({!Prefetch}). [0] (default) is off — the base protocol then
+          matches the paper exactly and the fault path does no detector
+          work; bulk sequential scans are the winners (see
+          [bench/main.exe ablation], which uses 8). *)
   on_crash : [ `Abort | `Rehome ];
       (** fate of threads that were executing on a node that fail-stopped:
           [`Abort] marks them crashed — a later join observes the loss and
@@ -64,22 +58,20 @@ type t = {
           more than [n] entries past that quorum watermark — an origin
           crash can then lose up to that suffix (the failover fence zaps
           survivor copies the replica no longer vouches for). *)
-  standby_count : int;
-      (** size k of the replica set (excluding the origin) when [standbys]
-          is [None]; k = 1 is the single-standby behaviour. Ignored when
+  standbys : [ `Lowest of int | `Nodes of int list ];
+      (** the replica set (excluding the origin) that receives the
+          replication log: [`Lowest k] picks the [k] lowest-numbered
+          non-origin nodes ([`Lowest 1], the default, is the
+          single-standby behaviour); [`Nodes l] names them. Ignored when
           [replication] is [`Off]. *)
-  standbys : int list option;
-      (** which nodes receive the replication log; [None] picks the
-          [standby_count] lowest-numbered non-origin nodes. Ignored when
-          [replication] is [`Off]. *)
-  sharding : [ `Off | `Hash of int | `Range of int ];
+  sharding : [ `Hash of int | `Range of int ];
       (** partition page ownership across {e home nodes}
-          ({!Coherence.home_of}): [`Off] (default) keeps every page homed
-          at the single origin and is bit-identical to the unsharded
-          protocol; [`Hash n] homes page [vpn] at shard [vpn mod n] —
-          best static load spread; [`Range n] homes 64-page runs
-          ([(vpn / 64) mod n]) — keeps sequential streams (and their
-          prefetch batches) on one home. Shard [s] lives at node
+          ({!Coherence.home_of}): [`Hash n] homes page [vpn] at shard
+          [vpn mod n] — best static load spread; [`Range n] homes 64-page
+          runs ([(vpn / 64) mod n]) — keeps sequential streams (and their
+          prefetch batches) on one home. One shard ([`Hash 1], the
+          default) keeps every page homed at the single origin — the
+          paper's protocol. Shard [s] lives at node
           [(origin + s) mod node_count], so shard 0 is always the process
           origin (the VMA/allocator/file services stay there). [n] may
           exceed the node count (homes then wrap); with [replication] on,
@@ -99,4 +91,4 @@ type t = {
 
 val default : t
 (** The calibrated defaults described in the module header; fast paths
-    that change message counts ([prefetch_enabled]) default off. *)
+    that change message counts ([prefetch_depth]) default off. *)

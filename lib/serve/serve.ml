@@ -157,10 +157,12 @@ let rec dispatch t ten =
     && not (Queue.is_empty ten.pending)
   then begin
     let req = Queue.pop ten.pending in
-    if
-      t.cfg.shed
-      && Engine.now t.eng - req.rq_arrival > t.cfg.shed_after
-    then begin
+    let stale =
+      match t.cfg.shed_after with
+      | Some bound -> Engine.now t.eng - req.rq_arrival > bound
+      | None -> false
+    in
+    if stale then begin
       ten.shed <- ten.shed + 1;
       Stats.incr t.stats "serve.shed"
     end
@@ -270,7 +272,7 @@ let default_proto ~nodes cfg =
     {
       Dex_proto.Proto_config.default with
       replication = `Sync;
-      standbys = Some [ nodes - 1 ];
+      standbys = `Nodes [ nodes - 1 ];
       on_crash = `Rehome;
     }
   else Dex_proto.Proto_config.default

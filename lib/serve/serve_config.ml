@@ -31,8 +31,7 @@ type t = {
   tenants : tenant list;
   seed : int;
   duration : Dex_sim.Time_ns.t;
-  shed : bool;
-  shed_after : Dex_sim.Time_ns.t;
+  shed_after : Dex_sim.Time_ns.t option;
   fair : bool;
   nn_cap : float;
   gate_bytes_per_us : float;
@@ -76,8 +75,7 @@ let default =
           { default_tenant with t_name = Printf.sprintf "t%02d" i });
     seed = 42;
     duration = Dex_sim.Time_ns.ms 6;
-    shed = true;
-    shed_after = Dex_sim.Time_ns.ms 2;
+    shed_after = Some (Dex_sim.Time_ns.ms 2);
     fair = true;
     nn_cap = 0.5;
     gate_bytes_per_us = 2048.0;
@@ -129,8 +127,9 @@ let validate t =
   if List.length (List.sort_uniq compare names) <> List.length names then
     invalid_arg "Serve_config: duplicate tenant name";
   if t.duration <= 0 then invalid_arg "Serve_config: duration must be > 0";
-  if t.shed_after <= 0 then
-    invalid_arg "Serve_config: shed_after must be > 0";
+  (match t.shed_after with
+  | Some d when d <= 0 -> invalid_arg "Serve_config: shed_after must be > 0"
+  | _ -> ());
   if t.nn_cap <= 0.0 || t.nn_cap > 1.0 then
     invalid_arg "Serve_config: nn_cap must be in (0, 1]";
   if t.gate_bytes_per_us <= 0.0 then

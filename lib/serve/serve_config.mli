@@ -54,12 +54,11 @@ type t = {
   duration : Dex_sim.Time_ns.t;
       (** length of the arrival window; admitted requests run to
           completion past it *)
-  shed : bool;
-      (** load-shedding on: arrivals beyond [t_max_pending] are rejected,
-          and queued requests that waited longer than [shed_after] are
-          dropped at dispatch instead of served *)
-  shed_after : Dex_sim.Time_ns.t;
-      (** queueing-delay bound enforced by the shedder *)
+  shed_after : Dex_sim.Time_ns.t option;
+      (** load shedding: [Some d] drops, at dispatch, every queued
+          request that waited longer than [d] instead of serving it;
+          [None] serves everything admitted. (Arrivals beyond
+          [t_max_pending] are rejected either way.) *)
   fair : bool;
       (** weighted fair sharing at the ingress gates; off = one FIFO
           gate per node, first come first served *)

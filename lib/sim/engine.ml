@@ -8,6 +8,14 @@ type t = {
 exception Deadlock
 exception Fiber_failure of string * exn
 
+let () =
+  Printexc.register_printer (function
+    | Fiber_failure (label, e) ->
+        Some
+          (Printf.sprintf "Dex_sim.Engine.Fiber_failure(%S, %s)" label
+             (Printexc.to_string e))
+    | _ -> None)
+
 let create () = { queue = Event_queue.create (); now = 0; seq = 0; live = 0 }
 
 let now t = t.now

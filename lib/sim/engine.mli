@@ -60,4 +60,5 @@ val run_until_quiescent : t -> unit
 
 exception Fiber_failure of string * exn
 (** [Fiber_failure (label, exn)]: exception [exn] escaped the fiber
-    [label]. *)
+    [label]. A registered {!Printexc} printer renders both, e.g.
+    [Dex_sim.Engine.Fiber_failure("main:0", Failure("boom"))]. *)

@@ -217,6 +217,48 @@ let test_results_deterministic () =
   check_int "same simulated time" r1.A.sim_time r2.A.sim_time;
   check_int "same fault count" r1.A.faults r2.A.faults
 
+(* One shard is one protocol however it is spelled: the default config,
+   [`Hash 1] and [`Range 1] must agree on every observable of a
+   contended run, coherence counters included. *)
+let test_one_shard_spellings_agree () =
+  let run proto =
+    Kmn.run ~nodes:4 ~variant:A.Initial ?proto ~params:kmn_small ()
+  in
+  let with_sharding s =
+    Some { Dex_proto.Proto_config.default with sharding = s }
+  in
+  let base = run None in
+  check_bool "the run takes remote faults" true (base.A.faults > 0);
+  List.iter
+    (fun (name, r) ->
+      check_int (name ^ ": sim time") base.A.sim_time r.A.sim_time;
+      Alcotest.(check int64) (name ^ ": checksum") base.A.checksum r.A.checksum;
+      check_int (name ^ ": faults") base.A.faults r.A.faults;
+      check_int (name ^ ": retries") base.A.retries r.A.retries;
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": coherence stats")
+        (Dex_sim.Stats.to_list base.A.stats)
+        (Dex_sim.Stats.to_list r.A.stats))
+    [
+      ("`Hash 1", run (with_sharding (`Hash 1)));
+      ("`Range 1", run (with_sharding (`Range 1)));
+    ]
+
+(* The no-data-grant ablation charges a full page for every remote grant
+   but must not change any answer: an exclusive owner that re-faults
+   keeps its own, newer copy instead of the home's stale staging copy. *)
+let test_ablation_without_nodata_grants () =
+  let proto =
+    { Dex_proto.Proto_config.default with grant_without_data = false }
+  in
+  let params =
+    { grp_small with Grp.text_bytes = 1 lsl 22; key_interval = 2048 }
+  in
+  let r = Grp.run ~nodes:2 ~variant:A.Initial ~proto ~params () in
+  Alcotest.(check int64) "GRP counts every key occurrence"
+    (Int64.of_int (Grp.expected_matches params ~seed:11))
+    r.A.checksum
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -251,5 +293,9 @@ let () =
           Alcotest.test_case "BP correctness" `Quick test_bp;
           Alcotest.test_case "registry" `Quick test_registry;
           Alcotest.test_case "determinism" `Quick test_results_deterministic;
+          Alcotest.test_case "one-shard spellings agree" `Quick
+            test_one_shard_spellings_agree;
+          Alcotest.test_case "no-data-grant ablation keeps answers" `Quick
+            test_ablation_without_nodata_grants;
         ] );
     ]

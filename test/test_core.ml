@@ -132,18 +132,18 @@ let expect_segfault f =
   | exception Engine.Fiber_failure (_, Process.Segfault _) -> ()
 
 let test_segfault_unmapped_origin () =
-  expect_segfault (fun _proc main -> Process.read main 0x50 ~len:8)
+  expect_segfault (fun _proc main -> Process.read_range main 0x50 ~len:8)
 
 let test_segfault_unmapped_remote () =
   expect_segfault (fun _proc main ->
       Process.migrate main 1;
       (* The origin confirms there is no VMA here: remote thread dies. *)
-      Process.read main 0x50 ~len:8)
+      Process.read_range main 0x50 ~len:8)
 
 let test_segfault_write_to_readonly () =
   expect_segfault (fun _proc main ->
       let addr = Process.mmap main ~perm:Dex_mem.Perm.ro ~len:4096 ~tag:"ro" () in
-      Process.write main addr ~len:8)
+      Process.write_range main addr ~len:8)
 
 (* ------------------------------------------------------------------ *)
 (* munmap / mprotect broadcast.                                        *)
@@ -177,11 +177,11 @@ let test_munmap_broadcast_kills_remote_access () =
 let test_mprotect_downgrade_broadcast () =
   expect_segfault (fun _proc main ->
       let region = Process.mmap main ~len:4096 ~tag:"data" () in
-      Process.write main region ~len:4096;
+      Process.write_range main region ~len:4096;
       Process.mprotect main ~addr:region ~len:4096 ~perm:Dex_mem.Perm.ro;
       (* Reads still fine, writes now fault. *)
-      Process.read main region ~len:4096;
-      Process.write main region ~len:8)
+      Process.read_range main region ~len:4096;
+      Process.write_range main region ~len:8)
 
 (* ------------------------------------------------------------------ *)
 (* Work delegation.                                                    *)

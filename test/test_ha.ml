@@ -44,8 +44,8 @@ let ha_proto ?(k = 1) ?standbys mode =
   {
     Dex_proto.Proto_config.default with
     replication = mode;
-    standby_count = k;
-    standbys;
+    standbys =
+      (match standbys with Some l -> `Nodes l | None -> `Lowest k);
     on_crash = `Rehome;
   }
 
@@ -700,7 +700,7 @@ let test_shard_home_crash_no_lost_writes () =
   let cl =
     Dex.cluster ~nodes ~net:(crash_net ~nodes ())
       ~proto:
-        { (ha_proto ~k:2 ~standbys:[ 2; 3 ] `Sync) with sharding = `Hash 2 }
+        { (ha_proto ~standbys:[ 2; 3 ] `Sync) with sharding = `Hash 2 }
       ()
   in
   let finals = Array.make npages (-1L) in

@@ -30,7 +30,7 @@ let run_traced () =
         let th =
           Process.spawn proc (fun th ->
               Process.migrate th 1;
-              Process.read th ~site:"scan_buf" buf ~len:8192;
+              Process.read_range th ~site:"scan_buf" buf ~len:8192;
               for i = 1 to 40 do
                 Process.store th ~site:"flag_update" flag (Int64.of_int i);
                 Process.compute th ~ns:(Time_ns.us 25)

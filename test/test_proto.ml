@@ -69,14 +69,9 @@ let chaos_net ~nodes =
   in
   { (default ~nodes ()) with chaos = Some chaos }
 
-(* The coherence fast-path knobs under test: sequential prefetching on
-   (off by default) and batched revocation fan-out. *)
-let fast_cfg =
-  {
-    Proto_config.default with
-    prefetch_enabled = true;
-    batch_revoke = true;
-  }
+(* The coherence fast path under test: sequential prefetching, off by
+   default, eight pages deep. *)
+let fast_cfg = { Proto_config.default with prefetch_depth = 8 }
 
 (* Page ownership spread over 4 home nodes: the SC properties must hold
    unchanged when requests route to per-shard directories. *)
@@ -480,10 +475,22 @@ let test_contended_pingpong_is_bimodal () =
 (* Coherence fast paths: sequential prefetch + batched revocation.      *)
 
 let test_prefetch_batches_sequential_scan () =
-  let engine, coh, fabric = setup_with_fabric ~cfg:fast_cfg () in
-  run_fiber engine (fun () ->
-      Coherence.access_range coh ~node:1 ~tid:0 ~addr:addr0
-        ~len:(32 * Page.size) ~access:Perm.Read ());
+  let scan cfg =
+    let engine, coh, fabric = setup_with_fabric ~cfg () in
+    run_fiber engine (fun () ->
+        Coherence.access_range coh ~node:1 ~tid:0 ~addr:addr0
+          ~len:(32 * Page.size) ~access:Perm.Read ());
+    (coh, fabric)
+  in
+  (* Depth 0 (the default) is prefetch off: one single-page round-trip
+     per page, and no batch request ever leaves the node. *)
+  let coh, fabric = scan Proto_config.default in
+  let st = Coherence.stats coh in
+  check_int "default: no batch requests" 0
+    (Stats.get (Dex_net.Fabric.stats fabric) "sent.page_req_batch");
+  check_int "default: one fault per page" 32 (Stats.get st "fault.read");
+  check_int "default: nothing prefetched" 0 (Stats.get st "prefetch.granted");
+  let coh, fabric = scan fast_cfg in
   let st = Coherence.stats coh in
   let faults = Stats.get st "fault.read" in
   check_bool
@@ -939,7 +946,6 @@ let prop_monotonic_under_autopilot_actions ~name () =
           Proto_config.default with
           sharding = `Hash 4;
           replication = `Sync;
-          standby_count = 1;
         }
       in
       let engine, coh, fabric =

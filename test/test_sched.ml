@@ -71,9 +71,9 @@ let test_affinity_counts_and_best_node () =
          let th =
            Process.spawn proc (fun th ->
                Process.migrate th 1;
-               Process.write th buf ~len:(6 * 4096);
+               Process.write_range th buf ~len:(6 * 4096);
                Process.migrate th 2;
-               Process.write th (buf + (6 * 4096)) ~len:(2 * 4096))
+               Process.write_range th (buf + (6 * 4096)) ~len:(2 * 4096))
          in
          Process.join th;
          let ranges = [ (buf, 8 * 4096) ] in
@@ -235,9 +235,9 @@ let test_affinity_best_node_under_sharding () =
          let th =
            Process.spawn proc (fun th ->
                Process.migrate th 1;
-               Process.write th buf ~len:(6 * 4096);
+               Process.write_range th buf ~len:(6 * 4096);
                Process.migrate th 2;
-               Process.write th (buf + (6 * 4096)) ~len:(2 * 4096))
+               Process.write_range th (buf + (6 * 4096)) ~len:(2 * 4096))
          in
          Process.join th;
          let ranges = [ (buf, 8 * 4096) ] in

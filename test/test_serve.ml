@@ -48,7 +48,7 @@ let small_cfg ?(n = 2) ?(rate = 2.0) () =
     tenants =
       List.init n (fun i -> tenant (Printf.sprintf "t%d" i) ~rate ());
     duration = ms 2;
-    shed = false;
+    shed_after = None;
   }
 
 (* The books balance on every tenant and every counter explains itself. *)
@@ -113,8 +113,7 @@ let test_overload_sheds () =
       Serve_config.default with
       tenants = [ tenant "hot" ~rate:40.0 ~inflight:2 ~pending:(if shed then 8 else 0) () ];
       duration = ms 2;
-      shed;
-      shed_after = us 300;
+      shed_after = (if shed then Some (us 300) else None);
     }
   in
   let with_shed = List.hd (Serve.run (overload true)).r_tenants in
@@ -245,7 +244,7 @@ let test_crash_isolation () =
       tenants =
         List.init 3 (fun i -> tenant (Printf.sprintf "t%d" i) ~rate:3.0 ());
       duration = ms 2;
-      shed = false;
+      shed_after = None;
     }
   in
   let nodes = Serve.required_nodes cfg in
@@ -285,7 +284,7 @@ let test_failover_isolation () =
       tenants =
         List.init 2 (fun i -> tenant (Printf.sprintf "t%d" i) ~rate:3.0 ());
       duration = ms 2;
-      shed = false;
+      shed_after = None;
       ha = true;
     }
   in

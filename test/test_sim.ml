@@ -103,7 +103,12 @@ let test_engine_fiber_failure_labelled () =
   Engine.spawn e ~label:"boom" (fun () -> failwith "bad");
   match Engine.run_until_quiescent e with
   | () -> Alcotest.fail "expected failure"
-  | exception Engine.Fiber_failure ("boom", Failure _) -> ()
+  | exception (Engine.Fiber_failure ("boom", Failure _) as e) ->
+      (* The registered printer shows the label and the real cause, not
+         the generic [_] placeholder. *)
+      Alcotest.(check string)
+        "rendered" {|Dex_sim.Engine.Fiber_failure("boom", Failure("bad"))|}
+        (Printexc.to_string e)
   | exception _ -> Alcotest.fail "wrong exception"
 
 let test_engine_double_resume_rejected () =
