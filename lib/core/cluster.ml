@@ -78,15 +78,11 @@ let fresh_pid t =
   t.next_pid <- pid + 1;
   pid
 
-let add_removable_router t r =
+let add_router t r =
   let id = t.next_router_id in
   t.next_router_id <- id + 1;
   t.routers <- t.routers @ [ (id, r) ];
   fun () -> t.routers <- List.filter (fun (i, _) -> i <> id) t.routers
-
-let add_router t r =
-  let (_ : unit -> unit) = add_removable_router t r in
-  ()
 
 let crash_node t ~node =
   if node < 0 || node >= nodes t then

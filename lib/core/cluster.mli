@@ -3,7 +3,15 @@
     Owns the discrete-event engine, the InfiniBand fabric, and per-node
     hardware resources (core pools, memory-bandwidth channels). Processes
     register message routers; the cluster installs one fabric handler per
-    node that fans incoming messages out to them. *)
+    node that fans incoming messages out to them.
+
+    {b Lifetimes.} A rack outlives the processes it hosts (the serving
+    layer runs thousands of them on one cluster). Every per-process
+    registration on it — a router ({!add_router}) or a crash subscription
+    ({!Dex_net.Fabric.on_crash}) — returns a release handle that the
+    registering process owns and calls when it exits; a handle that is
+    never called keeps the process reachable, and on the dispatch path,
+    for the life of the rack. Handles are idempotent. *)
 
 type t
 
@@ -40,17 +48,10 @@ val rng : t -> Dex_sim.Rng.t
 
 val fresh_pid : t -> int
 
-val add_router : t -> (Dex_net.Fabric.env -> bool) -> unit
-(** Register a message consumer; routers are tried in registration order
-    and the first returning [true] wins. An unrouted message is an
-    error. *)
-
-val add_removable_router :
-  t -> (Dex_net.Fabric.env -> bool) -> unit -> unit
-(** Like {!add_router} but returns an unregister thunk (idempotent).
-    A long-lived cluster that hosts many short-lived processes (the
-    serving layer) prunes exited processes' routers with this, keeping
-    message dispatch from scanning every consumer that ever lived. *)
+val add_router : t -> (Dex_net.Fabric.env -> bool) -> unit -> unit
+(** Register a message consumer and return its release handle (see
+    {b Lifetimes} above). Routers are tried in registration order and the
+    first returning [true] wins. An unrouted message is an error. *)
 
 val crash_node : t -> node:int -> unit
 (** Fail-stop [node] at the current simulation time: it stops servicing

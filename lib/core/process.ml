@@ -81,10 +81,11 @@ type t = {
       (* run by threads at compute boundaries (cooperative preemption);
          the placement autopilot's balancer checkpoint hangs here *)
   mutable stopping : bool;  (* shutdown has drained the threads *)
-  mutable unroute : unit -> unit;
-      (* unregisters the coherence router at shutdown, so a long-lived
-         cluster serving many short-lived processes doesn't scan every
-         dead process's router on each message *)
+  mutable releases : (unit -> unit) list;
+      (* the handles of every registration this process holds on the
+         shared rack (routers, crash subscriptions); shutdown calls them,
+         so a long-lived cluster serving many short-lived processes
+         neither scans nor retains the ones that exited *)
 }
 
 and thread = {
@@ -770,6 +771,13 @@ let file_size t name = Vfs.size t.vfss.(file_shard t name) name
 (* ------------------------------------------------------------------ *)
 (* Node-wide operations through remote workers.                        *)
 
+(* A protection change re-checks access on the next touch but keeps the
+   contents: the directory still names this node as owner or reader, so
+   its next fault may be a no-data grant over this very store. Only a
+   shrink ([Coherence.zap_range]) drops the data too. *)
+let zap_ptes t ~first ~last ~node =
+  ignore (Page_table.zap_range (Coherence.page_table t.coh ~node) ~first ~last)
+
 let worker_loop t node queue () =
   let rec go () =
     if queue.dead then () (* node fail-stopped: the worker dies with it *)
@@ -794,7 +802,7 @@ let worker_loop t node queue () =
             Engine.delay (engine t) (cfg t).Core_config.vma_op;
             ignore (Vma_tree.protect_range t.vmas.(node) ~start ~len ~perm);
             let first, last = Page.pages_of_range start ~len in
-            ignore (Coherence.zap_range t.coh ~first ~last ~node);
+            zap_ptes t ~first ~last ~node;
             ack ();
             go ())
   in
@@ -906,7 +914,7 @@ let mprotect th ~addr ~len ~perm =
        permissive changes propagate lazily via on-demand sync. *)
     if not (perm.Perm.read && perm.Perm.write) then begin
       let first, last = Page.pages_of_range addr ~len in
-      ignore (Coherence.zap_range t.coh ~first ~last ~node:t.origin);
+      zap_ptes t ~first ~last ~node:t.origin;
       ha_fence_all t;
       broadcast_node_op t (M.Vma_protect { start = addr; len; perm })
     end;
@@ -1310,6 +1318,9 @@ let router t (env : Fabric.env) =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle.                                                          *)
 
+(* Keep a registration's release handle until {!shutdown}. *)
+let hold t release = t.releases <- release :: t.releases
+
 let create cluster ?(origin = 0) () =
   if origin < 0 || origin >= Cluster.nodes cluster then
     invalid_arg "Process.create: bad origin";
@@ -1403,7 +1414,7 @@ let create cluster ?(origin = 0) () =
         };
       safepoint_hook = None;
       stopping = false;
-      unroute = Fun.id;
+      releases = [ (fun () -> Coherence.detach coh) ];
     }
   in
   (* Wire the replication logs into the protocol layer before any state is
@@ -1473,7 +1484,7 @@ let create cluster ?(origin = 0) () =
                        (Coherence.shard_directory t.coh ~shard))
                 in
                 dirs @ pages @ List.rev !vmas);
-            Cluster.add_router cluster (Ha.router ha))
+            hold t (Cluster.add_router cluster (Ha.router ha)))
       t.has
   end;
   (* Classic static layout at the origin; remote nodes learn VMAs on
@@ -1490,12 +1501,13 @@ let create cluster ?(origin = 0) () =
     ~perm:Perm.rw ~tag:"globals";
   layout_vma ~start:Layout.heap_base ~len:Layout.heap_size ~perm:Perm.rw
     ~tag:"heap";
-  t.unroute <- Cluster.add_removable_router cluster (router t);
+  hold t (Cluster.add_router cluster (router t));
   (* Subscriber priorities spell out the recovery order: directory reclaim
      (0, in Coherence.create), standby promotion (10, in Ha.arm), then
      thread/worker recovery here. *)
-  Fabric.on_crash ~priority:20 (Cluster.fabric cluster) (fun node ->
-      handle_node_crash t ~node);
+  hold t
+    (Fabric.on_crash ~priority:20 (Cluster.fabric cluster) (fun node ->
+         handle_node_crash t ~node));
   t
 
 let spawn t ?name:(thread_name = "worker") f =
@@ -1581,6 +1593,7 @@ let shutdown t =
      coherence message addressed to this pid can arrive anymore — unless
      replication is armed: a standby still holding this process's log can
      promote on a later origin crash and broadcast epoch fences that the
-     coherence handler must ack, so replicated processes keep their router
-     registered (the pre-pruning behaviour). *)
-  if Array.for_all Option.is_none t.has then t.unroute ()
+     coherence handler must ack, so replicated processes keep every
+     registration (router and crash subscriptions) for the rack's life. *)
+  if Array.for_all Option.is_none t.has then
+    List.iter (fun release -> release ()) t.releases

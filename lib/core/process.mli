@@ -268,4 +268,10 @@ val live_threads : t -> (int * int) list
 val shutdown : t -> unit
 (** Join every spawned thread, then broadcast process exit to all remote
     workers and wait for their teardown. Must be called from a fiber
-    (normally the main thread; {!Dex.run} does it automatically). *)
+    (normally the main thread; {!Dex.run} does it automatically).
+
+    Finally releases every registration the process holds on the
+    cluster — its message router and its crash subscriptions (see
+    {!Cluster}'s lifetime rule) — so the rack keeps nothing of it. A
+    process with replication armed keeps them all: a standby may still
+    promote and need this process's fence acks. *)

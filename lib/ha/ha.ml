@@ -638,6 +638,10 @@ let arm ~engine ~fabric ~stats ~pid ~mode ~origin ~standbys =
       standbys;
   (* Between directory reclaim (0) and process-level thread recovery (20):
      by the time threads are re-homed or aborted, the promotion fiber is
-     already queued and the fences are released. *)
-  Fabric.on_crash ~priority:10 fabric (fun node -> handle_crash t node);
+     already queued and the fences are released. There is no disarm: an
+     armed instance keeps its subscription, and the process its router,
+     for the life of the rack (see Process.shutdown). *)
+  let (_held_for_life : unit -> unit) =
+    Fabric.on_crash ~priority:10 fabric (fun node -> handle_crash t node)
+  in
   t

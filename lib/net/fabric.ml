@@ -55,9 +55,10 @@ type t = {
   mutable rel_pruned : int;  (* every seq below this is gone from rel_seen *)
   dead : bool array;  (* fail-stop ground truth, per node *)
   detected : bool array;  (* has the failure been declared to subscribers *)
-  mutable crash_subs : (int * int * (int -> unit)) list;
-      (* (priority, registration seq, callback), kept sorted: lower
-         priority runs first, registration order breaks ties *)
+  crash_subs : (int, int * (int -> unit)) Hashtbl.t;
+      (* registration seq -> (priority, callback). Unordered, so that
+         subscribing and releasing are O(1) for the many short-lived
+         processes of a long-lived rack; [declare_dead] sorts. *)
   mutable crash_sub_seq : int;
 }
 
@@ -99,18 +100,25 @@ let live_nodes t =
 let on_crash ?(priority = 0) t f =
   let seq = t.crash_sub_seq in
   t.crash_sub_seq <- seq + 1;
-  t.crash_subs <-
-    List.stable_sort
-      (fun (p1, s1, _) (p2, s2, _) -> compare (p1, s1) (p2, s2))
-      ((priority, seq, f) :: t.crash_subs)
+  Hashtbl.replace t.crash_subs seq (priority, f);
+  fun () -> Hashtbl.remove t.crash_subs seq
 
+(* Declarations are rare, so the (priority, seq) order is built here, over
+   a snapshot: a subscriber added by a callback waits for the next
+   declaration, and one released by an earlier callback is skipped. *)
 let declare_dead t ~node =
   check_node t node "declare_dead";
   if not t.dead.(node) then
     invalid_arg "Fabric.declare_dead: node is not crashed";
   if not t.detected.(node) then begin
     t.detected.(node) <- true;
-    List.iter (fun (_, _, f) -> f node) t.crash_subs
+    Hashtbl.fold (fun seq (priority, _) acc -> (priority, seq) :: acc)
+      t.crash_subs []
+    |> List.sort compare
+    |> List.iter (fun (_, seq) ->
+           match Hashtbl.find_opt t.crash_subs seq with
+           | Some (_, f) -> f node
+           | None -> ())
   end
 
 (* The undithered sum of the sender's whole retransmission schedule: after
@@ -195,7 +203,7 @@ let create engine cfg =
       rel_pruned = 0;
       dead = Array.make n false;
       detected = Array.make n false;
-      crash_subs = [];
+      crash_subs = Hashtbl.create 16;
       crash_sub_seq = 0;
     }
   in

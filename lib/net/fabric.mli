@@ -139,15 +139,23 @@ val declare_dead : t -> node:int -> unit
     fabric's own keepalive backstop one full retry budget after the crash.
     Raises [Invalid_argument] if the node has not actually crashed. *)
 
-val on_crash : ?priority:int -> t -> (int -> unit) -> unit
-(** Subscribe to failure declarations. The callback receives the dead
-    node's id, in a context that must not block (spawn a fiber for any
-    recovery work that needs the fabric). Subscribers run in ascending
-    [priority] (default [0]); equal priorities run in registration order.
-    The ordering is load-bearing — directory reclaim (priority 0) must
-    complete before HA promotion (10) and thread re-homing (20), so each
-    layer states its place explicitly instead of relying on who happened
-    to register first. *)
+val on_crash : ?priority:int -> t -> (int -> unit) -> unit -> unit
+(** Subscribe to failure declarations and return the subscription's
+    release handle. The callback receives the dead node's id, in a context
+    that must not block (spawn a fiber for any recovery work that needs
+    the fabric). Subscribers run in ascending [priority] (default [0]);
+    equal priorities run in registration order. The ordering is
+    load-bearing — directory reclaim (priority 0) must complete before HA
+    promotion (10) and thread re-homing (20), so each layer states its
+    place explicitly instead of relying on who happened to register
+    first.
+
+    The registrant owns the handle: a subscriber that outlives its owner
+    (a process that has exited) pins the owner in memory for the life of
+    the rack. Calling the handle unsubscribes in O(1); calling it again is
+    harmless. A declaration runs over a snapshot of the subscribers taken
+    when it starts: one subscribed by a callback waits for the next
+    declaration, and one released by an earlier callback does not run. *)
 
 val send : t -> src:int -> dst:int -> kind:string -> size:int -> Msg.payload -> unit
 (** One-way message. Blocks the calling fiber only for the local send-side

@@ -91,6 +91,8 @@ type t = {
          layer's check-and-sleep is only atomic when the word's home can
          read it without simulation events, so futex-word pages pin
          themselves and rehome_page refuses them *)
+  mutable detach : unit -> unit;
+      (* releases the reclaim subscription taken at create time *)
 }
 
 let shard_of t vpn =
@@ -335,6 +337,7 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
       replicate_hint = Hashtbl.create 16;
       push_subs = Hashtbl.create 16;
       pinned = Hashtbl.create 16;
+      detach = Fun.id;
     }
   in
   if nshards > 1 then Stats.add t.stats "shard.homes" nshards;
@@ -344,11 +347,14 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
      left to the HA layer when one is wired (a resolver is installed) —
      except that the dead node is still scrubbed out of the shards it did
      NOT home; without HA, reclaim_node's refusal is the PR 3 behavior. *)
-  Fabric.on_crash ~priority:0 fabric (fun node ->
-      match t.resolver with
-      | Some _ when shards_homed_at t node <> [] -> partial_scrub t ~node
-      | _ -> reclaim_node t ~node);
+  t.detach <-
+    Fabric.on_crash ~priority:0 fabric (fun node ->
+        match t.resolver with
+        | Some _ when shards_homed_at t node <> [] -> partial_scrub t ~node
+        | _ -> reclaim_node t ~node);
   t
+
+let detach t = t.detach ()
 
 let origin t = t.homes.(0)
 let epoch t = t.epochs.(0)

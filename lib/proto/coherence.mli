@@ -230,7 +230,10 @@ val fault_table : t -> node:int -> [ `Done | `Retry ] Dex_mem.Fault_table.t
 val zap_range :
   t -> first:Dex_mem.Page.vpn -> last:Dex_mem.Page.vpn -> node:int -> int
 (** Drop every page-table entry of [node] in the range (VMA shrink);
-    returns the number of zapped entries. Page stores are dropped too. *)
+    returns the number of zapped entries. Page stores are dropped too, so
+    this is for unmapped ranges only: a protection change zaps the
+    {!page_table} entries alone and keeps the contents, which the
+    directory may still name [node] as the owner of. *)
 
 val forget_range : t -> first:Dex_mem.Page.vpn -> last:Dex_mem.Page.vpn -> unit
 (** Clear directory tracking for an unmapped range, each page in its own
@@ -326,6 +329,11 @@ val reclaim_node : t -> node:int -> unit
     flight. Raises if [node] homes any shard (with the HA layer wired, a
     home death takes the promotion path instead and only the shards the
     dead node did {e not} home are scrubbed). *)
+
+val detach : t -> unit
+(** Release the reclaim subscription {!create} took on the fabric, so an
+    exited process no longer pins this instance. Call once no crash can
+    concern the process any more; idempotent. *)
 
 (** {2 Home failover hooks}
 

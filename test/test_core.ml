@@ -183,6 +183,31 @@ let test_mprotect_downgrade_broadcast () =
       Process.read_range main region ~len:4096;
       Process.write_range main region ~len:8)
 
+(* A protection change drops page-table entries, not page contents: the
+   directory still names the remote writer as owner, so its next fault is
+   a no-data grant over whatever its store holds. *)
+let test_mprotect_keeps_remote_dirty_page () =
+  let cl = Dex.cluster ~nodes:2 () in
+  let got = ref 0L in
+  ignore
+    (Dex.run cl (fun proc main ->
+         let region = Process.mmap main ~len:4096 ~tag:"data" () in
+         let stored = Waitq.create () and protected = Waitq.create () in
+         let th =
+           Process.spawn proc (fun th ->
+               Process.migrate th 1;
+               Process.store th region 77L;
+               ignore (Waitq.wake_all stored ());
+               Waitq.wait (Cluster.engine cl) protected;
+               got := Process.load th region)
+         in
+         Waitq.wait (Cluster.engine cl) stored;
+         Process.mprotect main ~addr:region ~len:4096 ~perm:Dex_mem.Perm.ro;
+         Process.mprotect main ~addr:region ~len:4096 ~perm:Dex_mem.Perm.rw;
+         ignore (Waitq.wake_all protected ());
+         Process.join th));
+  Alcotest.(check int64) "remote store survives RO then RW" 77L !got
+
 (* ------------------------------------------------------------------ *)
 (* Work delegation.                                                    *)
 
@@ -1186,6 +1211,8 @@ let () =
             test_munmap_broadcast_kills_remote_access;
           Alcotest.test_case "mprotect downgrade" `Quick
             test_mprotect_downgrade_broadcast;
+          Alcotest.test_case "mprotect keeps a remote dirty page" `Quick
+            test_mprotect_keeps_remote_dirty_page;
         ] );
       ( "delegation",
         [

@@ -63,7 +63,10 @@ let test_on_crash_priority () =
   let fabric = Fabric.create e (crash_net ~nodes:3 ()) in
   let order = ref [] in
   let sub ?priority tag =
-    Fabric.on_crash ?priority fabric (fun _ -> order := tag :: !order)
+    let (_ : unit -> unit) =
+      Fabric.on_crash ?priority fabric (fun _ -> order := tag :: !order)
+    in
+    ()
   in
   sub ~priority:20 "recovery";
   sub ~priority:0 "reclaim-a";

@@ -548,8 +548,12 @@ let test_crash_blackhole_and_detection () =
   Fabric.set_handler fabric ~node:1 echo_handler;
   Fabric.set_handler fabric ~node:2 echo_handler;
   let order = ref [] in
-  Fabric.on_crash fabric (fun node -> order := ("a", node) :: !order);
-  Fabric.on_crash fabric (fun node -> order := ("b", node) :: !order);
+  let (_ : unit -> unit) =
+    Fabric.on_crash fabric (fun node -> order := ("a", node) :: !order)
+  in
+  let (_ : unit -> unit) =
+    Fabric.on_crash fabric (fun node -> order := ("b", node) :: !order)
+  in
   Engine.spawn e (fun () ->
       ignore
         (Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:64 (Msg.Ping 1));
@@ -587,8 +591,10 @@ let test_crash_scheduled_and_keepalive () =
   Fabric.set_handler fabric ~node:1 echo_handler;
   Fabric.set_handler fabric ~node:2 echo_handler;
   let declared_at = ref (-1) in
-  Fabric.on_crash fabric (fun node ->
-      if node = 2 then declared_at := Engine.now e);
+  let (_ : unit -> unit) =
+    Fabric.on_crash fabric (fun node ->
+        if node = 2 then declared_at := Engine.now e)
+  in
   Engine.spawn e (fun () ->
       ignore
         (Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:64 (Msg.Ping 7)));
@@ -602,6 +608,47 @@ let test_crash_scheduled_and_keepalive () =
      with
     | () -> false
     | exception Invalid_argument _ -> true)
+
+(* Release handles: a released subscriber never runs, a second release is
+   harmless, and the survivors keep priority-then-registration order — also
+   when one callback releases a later subscriber mid-declaration. *)
+let test_crash_subscription_release () =
+  let e = Engine.create () in
+  let fabric =
+    Fabric.create e
+      (chaos_cfg ~nodes:3 ~rto:(Time_ns.us 10) ~max_retransmits:2 ())
+  in
+  let order = ref [] in
+  let sub ?priority tag =
+    Fabric.on_crash ?priority fabric (fun node ->
+        order := (tag, node) :: !order)
+  in
+  let _late = sub ~priority:20 "late" in
+  let release_a = sub "a" in
+  let _mid = sub ~priority:10 "mid" in
+  let _b = sub "b" in
+  let release_c = sub "c" in
+  let release_gone = ref ignore in
+  let _releaser =
+    Fabric.on_crash ~priority:5 fabric (fun _ -> !release_gone ())
+  in
+  release_gone := sub ~priority:10 "gone";
+  release_a ();
+  release_a ();
+  Fabric.crash fabric ~node:1;
+  Fabric.declare_dead fabric ~node:1;
+  Alcotest.(check (list (pair string int)))
+    "released subscribers skipped, order kept"
+    [ ("b", 1); ("c", 1); ("mid", 1); ("late", 1) ]
+    (List.rev !order);
+  order := [];
+  release_c ();
+  Fabric.crash fabric ~node:2;
+  Fabric.declare_dead fabric ~node:2;
+  Alcotest.(check (list (pair string int)))
+    "a later declaration sees the later release"
+    [ ("b", 2); ("mid", 2); ("late", 2) ]
+    (List.rev !order)
 
 let () =
   Alcotest.run "dex_net"
@@ -660,5 +707,7 @@ let () =
             test_crash_blackhole_and_detection;
           Alcotest.test_case "scheduled crash + keepalive backstop" `Quick
             test_crash_scheduled_and_keepalive;
+          Alcotest.test_case "crash subscription release" `Quick
+            test_crash_subscription_release;
         ] );
     ]

@@ -307,6 +307,41 @@ let test_failover_isolation () =
       check_int (b.tr_name ^ " nothing corrupted") 0 c.tr_corrupted)
     baseline.r_tenants crashed.r_tenants
 
+(* Soak: a long-lived cluster must not retain the processes it served.
+   The same config runs for a window of D and then 4D; the cluster is kept
+   reachable until after a full major GC, so anything an exited process
+   left registered on it (routers, crash subscriptions) shows up as live
+   words that grow with the requests served. Host allocation per request
+   must stay flat too: a per-registration cost that scans every process
+   ever served makes it grow with the window. *)
+let test_soak_memory_flat () =
+  let window d =
+    let cluster = ref None in
+    let minor0 = Gc.minor_words () in
+    let r =
+      Serve.run ~events:[ (0, fun cl -> cluster := Some cl) ]
+        { (small_cfg ()) with duration = ms d }
+    in
+    let minor = Gc.minor_words () -. minor0 in
+    let completed = Stats.get r.r_stats "serve.completed" in
+    Gc.full_major ();
+    let live = (Gc.stat ()).Gc.live_words in
+    ignore (Sys.opaque_identity (!cluster, r));
+    (completed, live, minor /. float_of_int completed)
+  in
+  let n1, live1, minor1 = window 10 in
+  let n4, live4, minor4 = window 40 in
+  check_bool "the longer window served more" true (n4 > 2 * n1);
+  let per_req = float_of_int (live4 - live1) /. float_of_int (n4 - n1) in
+  check_bool
+    (Printf.sprintf "live words per extra request: %.0f <= 2000" per_req)
+    true (per_req <= 2000.0);
+  check_bool
+    (Printf.sprintf "minor words per request flat: %.0f at D, %.0f at 4D"
+       minor1 minor4)
+    true
+    (Float.abs (minor4 -. minor1) <= 0.1 *. minor1)
+
 let () =
   Alcotest.run "serve"
     [
@@ -335,4 +370,7 @@ let () =
           Alcotest.test_case "failover isolation" `Quick
             test_failover_isolation;
         ] );
+      ( "lifetime",
+        [ Alcotest.test_case "soak: memory flat" `Quick test_soak_memory_flat ]
+      );
     ]
