@@ -62,12 +62,23 @@ let host_bfs (g : Workloads.graph) max_iters =
   let frontiers = expand [ 0 ] 0 [] in
   (levels, frontiers)
 
-let reference_level_sum p ~seed =
-  let levels, _ = host_bfs (host_graph p ~seed) p.max_iters in
+let level_sum levels =
   Array.fold_left (fun acc l -> if l > 0 then acc + l else acc) 0 levels
 
-let dedup_sorted l =
-  match List.sort_uniq compare l with x -> x
+let reference_level_sum p ~seed =
+  level_sum (fst (host_bfs (host_graph p ~seed) p.max_iters))
+
+(* The marked indices of [marks], ascending; clears every mark it
+   returns, so [marks] is all zero again afterwards. *)
+let take_marked marks =
+  let acc = ref [] in
+  for i = Bytes.length marks - 1 downto 0 do
+    if Bytes.unsafe_get marks i <> '\000' then begin
+      Bytes.unsafe_set marks i '\000';
+      acc := i :: !acc
+    end
+  done;
+  !acc
 
 let body p ctx main =
   let g = host_graph p ~seed:ctx.A.seed in
@@ -104,9 +115,16 @@ let body p ctx main =
   let barrier = Sync.Barrier.create proc ~parties:threads () in
   let vert_part i = A.partition ~total:vertices ~parts:threads ~index:i in
   let owner_of v = A.node_of ctx (v * threads / vertices) in
+  (* Scratch marks shared by every thread of this run: one byte per vertex
+     and one per level-array page, all zero between uses. Plans and page
+     sets are built between simulated operations, so no fiber switch can
+     interleave two builds. *)
+  let vertex_marks = Bytes.make vertices '\000' in
+  let page_marks = Bytes.make ((vertices + 511) / 512) '\000' in
+  let mark_page u = Bytes.unsafe_set page_marks (u / 512) '\001' in
   (* Per-level, per-thread work description, derived from the real BFS:
      which frontier vertices are mine, how many edges I scan, and which
-     vertices I discover. *)
+     vertices I discover (ascending, distinct). *)
   let plan_for i =
     let first, count = vert_part i in
     List.map
@@ -120,10 +138,16 @@ let body p ctx main =
             do
               incr edges;
               let u = g.Workloads.targets.(e) in
-              if levels.(u) = levels.(v) + 1 then discovered := u :: !discovered
+              if levels.(u) = levels.(v) + 1
+                 && Bytes.unsafe_get vertex_marks u = '\000'
+              then begin
+                Bytes.unsafe_set vertex_marks u '\001';
+                discovered := u :: !discovered
+              end
             done)
           mine;
-        (mine, !edges, dedup_sorted !discovered))
+        List.iter (fun u -> Bytes.unsafe_set vertex_marks u '\000') !discovered;
+        (mine, !edges, List.sort Int.compare !discovered))
       frontiers
   in
   A.parallel_region ctx (fun i th ->
@@ -153,18 +177,14 @@ let body p ctx main =
                  the discoveries (both modelled by up to [sample_pages]
                  distinct pages), plus a global frontier counter update
                  per burst. *)
-              let read_pages =
-                dedup_sorted
-                  (List.concat_map
-                     (fun v ->
-                       let acc = ref [] in
-                       for e = g.Workloads.offsets.(v)
-                           to g.Workloads.offsets.(v + 1) - 1 do
-                         acc := (g.Workloads.targets.(e) / 512) :: !acc
-                       done;
-                       !acc)
-                     mine)
-              in
+              List.iter
+                (fun v ->
+                  for e = g.Workloads.offsets.(v)
+                      to g.Workloads.offsets.(v + 1) - 1 do
+                    mark_page g.Workloads.targets.(e)
+                  done)
+                mine;
+              let read_pages = take_marked page_marks in
               List.iteri
                 (fun k page ->
                   if k < p.sample_pages then
@@ -172,9 +192,8 @@ let body p ctx main =
                       (levels_addr + (page * 4096))
                       ~len:8)
                 read_pages;
-              let pages =
-                dedup_sorted (List.map (fun u -> u / 512) discovered)
-              in
+              List.iter mark_page discovered;
+              let pages = take_marked page_marks in
               List.iteri
                 (fun k page ->
                   if k < p.sample_pages then
@@ -200,13 +219,10 @@ let body p ctx main =
                 (fun o n ->
                   if o = A.node_of ctx i then begin
                     (* Our own vertices: write the level pages directly. *)
-                    let own =
-                      dedup_sorted
-                        (List.filter_map
-                           (fun u ->
-                             if owner_of u = o then Some (u / 512) else None)
-                           discovered)
-                    in
+                    List.iter
+                      (fun u -> if owner_of u = o then mark_page u)
+                      discovered;
+                    let own = take_marked page_marks in
                     List.iter
                       (fun page ->
                         Process.store th ~site:"bfs.level_write"
@@ -234,7 +250,7 @@ let body p ctx main =
           | A.Baseline | A.Initial -> ());
           Sync.Barrier.await th barrier)
         plan);
-  Int64.of_int (reference_level_sum p ~seed:ctx.A.seed)
+  Int64.of_int (level_sum levels)
 
 let run ~nodes ~variant ?config ?proto ?(params = default_params) ?(seed = 31) () =
   A.run_app ~name:"BFS" ~nodes ~variant ?config ?proto ~seed (body params)

@@ -21,6 +21,11 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val fill_float : t -> Float.Array.t -> unit
+(** [fill_float t a] fills [a] in index order with the values that
+    successive [float t 1.0] calls would return, without boxing each one:
+    the bulk draw for host loops that consume many uniforms. *)
+
 val bool : t -> bool
 
 val shuffle : t -> 'a array -> unit

@@ -200,6 +200,36 @@ let test_bp () =
   let run nodes variant () = Bp.run ~nodes ~variant ~params:bp_small () in
   checksums_agree "BP" [ run 1 A.Baseline; run 2 A.Initial; run 2 A.Optimized ]
 
+(* BFS's checksum is its host reference and EP's tallies ignore the
+   schedule, so neither checksum sees a change in the simulated access
+   pattern. Pin the run's observables instead: (sim_time, faults, retries,
+   coalesced, migrations) per (nodes, variant). *)
+let test_access_pattern_pinned () =
+  let rows =
+    [
+      (1, A.Baseline, (242600, 0, 0, 0, 0), (104660, 0, 0, 0, 0));
+      (2, A.Initial, (1008726, 2, 0, 0, 8), (2172575, 81, 8, 330, 8));
+      (4, A.Initial, (1148798, 8, 3, 23, 24), (5178639, 327, 127, 981, 24));
+      (2, A.Optimized, (1111126, 3, 0, 0, 8), (2126174, 82, 2, 462, 8));
+      (4, A.Optimized, (1111126, 6, 0, 6, 24), (5336901, 358, 94, 1440, 24));
+    ]
+  in
+  let observed (r : A.result) =
+    (r.A.sim_time, r.A.faults, r.A.retries, r.A.coalesced, r.A.migrations)
+  in
+  let digest = Alcotest.(pair (pair int int) (pair int (pair int int))) in
+  let nest (a, b, c, d, e) = ((a, b), (c, (d, e))) in
+  List.iter
+    (fun (nodes, variant, ep, bfs) ->
+      let label app =
+        Printf.sprintf "%s %s@%d" app (A.variant_name variant) nodes
+      in
+      Alcotest.check digest (label "EP") (nest ep)
+        (nest (observed (Ep.run ~nodes ~variant ~params:ep_small ())));
+      Alcotest.check digest (label "BFS") (nest bfs)
+        (nest (observed (Bfs.run ~nodes ~variant ~params:bfs_small ()))))
+    rows
+
 let test_registry () =
   check_int "eight applications" 8 (List.length Apps.all);
   Alcotest.(check (list string))
@@ -291,6 +321,8 @@ let () =
           Alcotest.test_case "BLK correctness" `Quick test_blk;
           Alcotest.test_case "BFS correctness" `Quick test_bfs;
           Alcotest.test_case "BP correctness" `Quick test_bp;
+          Alcotest.test_case "EP and BFS access patterns pinned" `Quick
+            test_access_pattern_pinned;
           Alcotest.test_case "registry" `Quick test_registry;
           Alcotest.test_case "determinism" `Quick test_results_deterministic;
           Alcotest.test_case "one-shard spellings agree" `Quick

@@ -195,6 +195,47 @@ let test_rng_split_independent () =
     (Rng.next_int64 a <> Rng.next_int64 child)
     true
 
+(* Known answers: the state's representation may change, the stream may
+   not. *)
+let test_rng_known_answers () =
+  List.iter
+    (fun (seed, first, f, i) ->
+      let rng = Rng.create ~seed in
+      Alcotest.(check int64) "first next_int64" first (Rng.next_int64 rng);
+      Alcotest.(check (float 0.0)) "then float" f (Rng.float rng 1.0);
+      check_int "then int" i (Rng.int rng 1000))
+    [
+      (0, -2152535657050944081L, 0x1.b9e279aa86e58p-2, 419);
+      (42, -7450291807549245335L, 0x1.486da5f92b86cp-3, 285);
+    ]
+
+(* A copy or a split child owns its state: advancing it never moves the
+   original. *)
+let test_rng_no_aliasing () =
+  let stream rng = List.init 8 (fun _ -> Rng.next_int64 rng) in
+  let expected = stream (Rng.create ~seed:5) in
+  let a = Rng.create ~seed:5 in
+  ignore (stream (Rng.copy a));
+  Alcotest.(check (list int64)) "copy advanced" expected (stream a);
+  let b = Rng.create ~seed:5 and b' = Rng.create ~seed:5 in
+  let child = Rng.split b in
+  ignore (Rng.split b');
+  ignore (stream child);
+  Alcotest.(check (list int64)) "split child advanced" (stream b') (stream b)
+
+let prop_rng_fill_float =
+  QCheck.Test.make ~name:"Rng.fill_float equals successive float t 1.0"
+    ~count:200
+    QCheck.(pair small_int (int_range 0 700))
+    (fun (seed, len) ->
+      let a = Rng.create ~seed and b = Rng.create ~seed in
+      let bulk = Float.Array.make len nan in
+      Rng.fill_float a bulk;
+      let bits x = Int64.bits_of_float x in
+      List.init len (fun i -> bits (Float.Array.get bulk i))
+      = List.init len (fun _ -> bits (Rng.float b 1.0))
+      && Rng.next_int64 a = Rng.next_int64 b)
+
 let prop_rng_int_bounds =
   QCheck.Test.make ~name:"Rng.int stays in bounds" ~count:500
     QCheck.(pair small_int (int_range 1 10_000))
@@ -422,8 +463,13 @@ let () =
           Alcotest.test_case "split independence" `Quick
             test_rng_split_independent;
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+          Alcotest.test_case "copy and split do not alias" `Quick
+            test_rng_no_aliasing;
         ]
-        @ qsuite [ prop_rng_int_bounds; prop_rng_shuffle_permutation ] );
+        @ qsuite
+            [ prop_rng_int_bounds; prop_rng_shuffle_permutation;
+              prop_rng_fill_float ] );
       ( "histogram",
         [
           Alcotest.test_case "summary stats" `Quick test_histogram_stats;
