@@ -183,29 +183,27 @@ let fault_microbench () =
     "Page-fault handling microbenchmark (two threads ping-ponging one \
      page, Sec. V-D)";
   let cl = Dex.cluster ~nodes:2 () in
-  let coh = ref None in
-  ignore
-    (Dex.run cl (fun proc main ->
-         coh := Some (Process.coherence proc);
-         let page = Process.malloc main ~bytes:8 ~tag:"contended" in
-         let barrier = Sync.Barrier.create proc ~parties:2 () in
-         let stop = Time_ns.ms 400 in
-         let worker node th =
-           Process.migrate th node;
-           Sync.Barrier.await th barrier;
-           let i = ref 0 in
-           while Dex_sim.Engine.now (Cluster.engine cl) < stop do
-             incr i;
-             Process.store th ~site:"micro.update" page (Int64.of_int !i);
-             Process.compute th ~ns:(Time_ns.us 2)
-           done
-         in
-         let a = Process.spawn proc (worker 0) in
-         let b = Process.spawn proc (worker 1) in
-         Process.join a;
-         Process.join b));
-  let coh = Option.get !coh in
-  let h = Dex_proto.Coherence.fault_latencies coh in
+  let proc =
+    Dex.run cl (fun proc main ->
+        let page = Process.malloc main ~bytes:8 ~tag:"contended" in
+        let barrier = Sync.Barrier.create proc ~parties:2 () in
+        let stop = Time_ns.ms 400 in
+        let worker node th =
+          Process.migrate th node;
+          Sync.Barrier.await th barrier;
+          let i = ref 0 in
+          while Dex_sim.Engine.now (Cluster.engine cl) < stop do
+            incr i;
+            Process.store th ~site:"micro.update" page (Int64.of_int !i);
+            Process.compute th ~ns:(Time_ns.us 2)
+          done
+        in
+        let a = Process.spawn proc (worker 0) in
+        let b = Process.spawn proc (worker 1) in
+        Process.join a;
+        Process.join b)
+  in
+  let h = Dex_proto.Coherence.fault_latencies (Process.coherence proc) in
   let lats = Dex_sim.Histogram.to_list h in
   let fast = List.filter (fun v -> v <= Time_ns.us 40) lats in
   let slow = List.filter (fun v -> v > Time_ns.us 40) lats in
@@ -252,34 +250,34 @@ let profile_demo () =
      hot loop";
   let cl = Dex.cluster ~nodes:4 () in
   let events = ref [] in
-  let alloc = ref None in
-  ignore
-    (Dex.run cl (fun proc main ->
-         alloc := Some (Process.allocator proc);
-         let trace = Dex_profile.Trace.attach (Process.coherence proc) in
-         let args = Process.malloc main ~bytes:(8 * 32) ~tag:"grp.args" in
-         let total = Process.malloc main ~bytes:8 ~tag:"grp.total" in
-         let text =
-           Process.memalign main ~align:4096 ~bytes:262144 ~tag:"grp.text"
-         in
-         let threads =
-           List.init 8 (fun i ->
-               Process.spawn proc (fun th ->
-                   Process.migrate th (i mod 4);
-                   Process.read_range th ~site:"grp.scan" (text + (i * 32768))
-                     ~len:32768;
-                   for m = 1 to 20 do
-                     ignore
-                       (Process.fetch_add th ~site:"grp.total_update" total 1L);
-                     Process.store th ~site:"grp.args_update"
-                       (args + (i * 32))
-                       (Int64.of_int m);
-                     Process.compute th ~ns:(Time_ns.us 30)
-                   done))
-         in
-         List.iter Process.join threads;
-         events := Dex_profile.Trace.events trace));
-  Dex_profile.Report.pp_summary ?alloc:!alloc Format.std_formatter !events;
+  let proc =
+    Dex.run cl (fun proc main ->
+        let trace = Dex_profile.Trace.attach (Process.coherence proc) in
+        let args = Process.malloc main ~bytes:(8 * 32) ~tag:"grp.args" in
+        let total = Process.malloc main ~bytes:8 ~tag:"grp.total" in
+        let text =
+          Process.memalign main ~align:4096 ~bytes:262144 ~tag:"grp.text"
+        in
+        let threads =
+          List.init 8 (fun i ->
+              Process.spawn proc (fun th ->
+                  Process.migrate th (i mod 4);
+                  Process.read_range th ~site:"grp.scan" (text + (i * 32768))
+                    ~len:32768;
+                  for m = 1 to 20 do
+                    ignore
+                      (Process.fetch_add th ~site:"grp.total_update" total 1L);
+                    Process.store th ~site:"grp.args_update"
+                      (args + (i * 32))
+                      (Int64.of_int m);
+                    Process.compute th ~ns:(Time_ns.us 30)
+                  done))
+        in
+        List.iter Process.join threads;
+        events := Dex_profile.Trace.events trace)
+  in
+  Dex_profile.Report.pp_summary ~alloc:(Process.allocator proc)
+    Format.std_formatter !events;
   Format.printf
     "The report points at grp.total/grp.args — the objects the paper's \
      optimization page-aligns and stages locally.@."
@@ -298,23 +296,22 @@ let ablation () =
   let storm ~coalesce =
     let proto = { Dex_proto.Proto_config.default with coalesce_faults = coalesce } in
     let cl = Dex.cluster ~nodes:2 ~proto () in
-    let coh = ref None in
-    ignore
-      (Dex.run cl (fun proc main ->
-           coh := Some (Process.coherence proc);
-           let buf = Process.memalign main ~align:4096
-               ~bytes:(storm_pages * 4096) ~tag:"storm" in
-           let barrier = Sync.Barrier.create proc ~parties:8 () in
-           let threads =
-             List.init 8 (fun _ ->
-                 Process.spawn proc (fun th ->
-                     Process.migrate th 1;
-                     Sync.Barrier.await th barrier;
-                     Process.read_range th ~site:"storm" buf
-                       ~len:(storm_pages * 4096)))
-           in
-           List.iter Process.join threads));
-    let stats = Dex_proto.Coherence.stats (Option.get !coh) in
+    let proc =
+      Dex.run cl (fun proc main ->
+          let buf = Process.memalign main ~align:4096
+              ~bytes:(storm_pages * 4096) ~tag:"storm" in
+          let barrier = Sync.Barrier.create proc ~parties:8 () in
+          let threads =
+            List.init 8 (fun _ ->
+                Process.spawn proc (fun th ->
+                    Process.migrate th 1;
+                    Sync.Barrier.await th barrier;
+                    Process.read_range th ~site:"storm" buf
+                      ~len:(storm_pages * 4096)))
+          in
+          List.iter Process.join threads)
+    in
+    let stats = Dex_proto.Coherence.stats (Process.coherence proc) in
     let fstats = Dex_net.Fabric.stats (Cluster.fabric cl) in
     ( Dex.elapsed cl,
       Dex_sim.Stats.get fstats "sent.page_req",
@@ -343,35 +340,34 @@ let ablation () =
       { Dex_proto.Proto_config.default with grant_without_data = nodata }
     in
     let cl = Dex.cluster ~nodes:2 ~proto () in
-    let coh = ref None in
-    ignore
-      (Dex.run cl (fun proc main ->
-           coh := Some (Process.coherence proc);
-           let cell = Process.malloc main ~bytes:8 ~tag:"cell" in
-           let barrier = Sync.Barrier.create proc ~parties:2 () in
-           let remote =
-             Process.spawn proc (fun th ->
-                 Process.migrate th 1;
-                 for i = 1 to upgrade_iters do
-                   Sync.Barrier.await th barrier;
-                   (* read ... then decide to write: upgrade *)
-                   ignore (Process.load th ~site:"abl.read" cell);
-                   Process.store th ~site:"abl.write" cell (Int64.of_int i);
-                   Sync.Barrier.await th barrier
-                 done)
-           in
-           for _ = 1 to upgrade_iters do
-             Sync.Barrier.await main barrier;
-             Sync.Barrier.await main barrier;
-             (* the origin reads the result, downgrading the remote *)
-             ignore (Process.load main ~site:"abl.check" cell)
-           done;
-           Process.join remote));
+    let proc =
+      Dex.run cl (fun proc main ->
+          let cell = Process.malloc main ~bytes:8 ~tag:"cell" in
+          let barrier = Sync.Barrier.create proc ~parties:2 () in
+          let remote =
+            Process.spawn proc (fun th ->
+                Process.migrate th 1;
+                for i = 1 to upgrade_iters do
+                  Sync.Barrier.await th barrier;
+                  (* read ... then decide to write: upgrade *)
+                  ignore (Process.load th ~site:"abl.read" cell);
+                  Process.store th ~site:"abl.write" cell (Int64.of_int i);
+                  Sync.Barrier.await th barrier
+                done)
+          in
+          for _ = 1 to upgrade_iters do
+            Sync.Barrier.await main barrier;
+            Sync.Barrier.await main barrier;
+            (* the origin reads the result, downgrading the remote *)
+            ignore (Process.load main ~site:"abl.check" cell)
+          done;
+          Process.join remote)
+    in
     let fstats = Dex_net.Fabric.stats (Cluster.fabric cl) in
     ( Dex.elapsed cl,
       Dex_sim.Stats.get fstats "bytes.page_req.resp",
       Dex_sim.Stats.get
-        (Dex_proto.Coherence.stats (Option.get !coh))
+        (Dex_proto.Coherence.stats (Process.coherence proc))
         "grant.nodata" )
   in
   let t_on, bytes_on, nodata_on = upgrades ~nodata:true in
@@ -396,22 +392,21 @@ let ablation () =
   let scan prefetch_depth =
     let proto = { Dex_proto.Proto_config.default with prefetch_depth } in
     let cl = Dex.cluster ~nodes:2 ~proto () in
-    let coh = ref None in
-    ignore
-      (Dex.run cl (fun proc main ->
-           coh := Some (Process.coherence proc);
-           let buf =
-             Process.memalign main ~align:4096 ~bytes:(scan_pages * 4096)
-               ~tag:"scan"
-           in
-           let th =
-             Process.spawn proc (fun th ->
-                 Process.migrate th 1;
-                 Process.read_range th ~site:"scan" buf
-                   ~len:(scan_pages * 4096))
-           in
-           Process.join th));
-    let stats = Dex_proto.Coherence.stats (Option.get !coh) in
+    let proc =
+      Dex.run cl (fun proc main ->
+          let buf =
+            Process.memalign main ~align:4096 ~bytes:(scan_pages * 4096)
+              ~tag:"scan"
+          in
+          let th =
+            Process.spawn proc (fun th ->
+                Process.migrate th 1;
+                Process.read_range th ~site:"scan" buf
+                  ~len:(scan_pages * 4096))
+          in
+          Process.join th)
+    in
+    let stats = Dex_proto.Coherence.stats (Process.coherence proc) in
     let fstats = Dex_net.Fabric.stats (Cluster.fabric cl) in
     ( Dex.elapsed cl,
       Dex_sim.Stats.get stats "fault.read",
@@ -680,29 +675,15 @@ let crash_bench () =
   let pages = if !tiny then 12 else 96 in
   let s_rounds = if !tiny then 20 else 28 in
   let v_rounds = if !tiny then 12 else 16 in
-  let chaos crashes =
-    {
-      Dex_net.Net_config.chaos_default with
-      Dex_net.Net_config.chaos_seed = 23;
-      rto = Time_ns.us 100;
-      rto_cap = Time_ns.us 500;
-      max_retransmits = 8;
-      crashes;
-    }
-  in
   (* Two remote threads walk private page windows and race on one shared
      flag page. The victim (node 2) fail-stops mid-run: its thread aborts,
      while the survivor (node 1) keeps going — its next store to the flag
      must revoke the dead node's read copy, which is exactly the organic
      Unreachable-escalation detection path. *)
   let run crashes =
-    let net =
-      {
-        (Dex_net.Net_config.default ~nodes:3 ()) with
-        Dex_net.Net_config.chaos = Some (chaos crashes);
-      }
+    let cl =
+      Dex.cluster ~nodes:3 ~net:(Dex_scenarios.crash_net ~nodes:3 crashes) ()
     in
-    let cl = Dex.cluster ~nodes:3 ~net () in
     let survivor = ref 0 and victim = ref 0 in
     let proc =
       Dex.run cl (fun proc main ->
@@ -754,34 +735,14 @@ let crash_bench () =
   row
     (Printf.sprintf "node 2 dies @%.1fms" (Time_ns.to_ms_f crash_at))
     crashed;
-  let coh = Process.coherence proc in
-  Format.printf "  ";
-  Dex_profile.Report.pp_crash Format.std_formatter (Dex_proto.Coherence.stats coh);
-  let pget = Dex_sim.Stats.get (Process.stats proc) in
-  Format.printf
-    "  recovery: threads_aborted=%d threads_rehomed=%d futex_cancelled=%d \
-     migrations_refused=%d@."
-    (pget "crash.threads_aborted")
-    (pget "crash.threads_rehomed")
-    (pget "crash.futex_cancelled")
-    (pget "crash.migrations_refused");
+  Format.printf "  %a  %a" Dex_profile.Report.pp_crash
+    (Dex_proto.Coherence.stats (Process.coherence proc))
+    Dex_scenarios.pp_recovery proc;
   (* The reclaim pass must leave consistent, ghost-free ownership. *)
-  Dex_proto.Coherence.check_invariants coh;
-  let ghosts = ref 0 in
-  for shard = 0 to Dex_proto.Coherence.shard_count coh - 1 do
-    Dex_mem.Directory.iter
-      (Dex_proto.Coherence.shard_directory coh ~shard)
-      (fun _ st ->
-        match st with
-        | Dex_mem.Directory.Exclusive n when n = 2 -> incr ghosts
-        | Dex_mem.Directory.Shared set when Dex_mem.Node_set.mem set 2 ->
-            incr ghosts
-        | _ -> ())
-  done;
   Format.printf
     "  -> post-reclaim invariants hold; directory entries still naming the \
      dead node: %d@."
-    !ghosts
+    (Dex_scenarios.audit_reclaim proc ~dead:2)
 
 (* ------------------------------------------------------------------ *)
 (* Failover: origin replication cost (fences, log traffic) and the price
@@ -789,77 +750,17 @@ let crash_bench () =
 
 let failover_bench () =
   section "Failover: origin replication and standby promotion";
-  let nodes = 4 in
-  let writers = nodes - 1 in
   let rounds = if !tiny then 12 else 40 in
-  let crash_at_us = if !tiny then 800 else 1500 in
-  let chaos =
-    {
-      Dex_net.Net_config.chaos_default with
-      Dex_net.Net_config.chaos_seed = 11;
-      rto = Time_ns.us 20;
-      rto_cap = Time_ns.us 100;
-      max_retransmits = 4;
-    }
+  let crash_at = Time_ns.us (if !tiny then 800 else 1500) in
+  (* Writers on every non-origin node hammer one shared counter; in the
+     crash rows the origin fail-stops mid-run. *)
+  let run ?(k = 1) ?crash_at ?double_crash replication =
+    Dex_scenarios.failover ~nodes:4 ~replication ~standbys:k ~rounds ?crash_at
+      ?double_crash ()
   in
-  let net =
-    {
-      (Dex_net.Net_config.default ~nodes ()) with
-      Dex_net.Net_config.chaos = Some chaos;
-    }
-  in
-  (* The failover workload from the tests: writers on every non-origin
-     node hammer one shared counter; optionally the origin fail-stops
-     mid-run (with [double] a standby dies at the same instant). Main
-     rides out the crash off-origin. *)
-  let run ?(k = 1) ?(double = false) ~crash mode =
-    let proto =
-      {
-        Dex_proto.Proto_config.default with
-        Dex_proto.Proto_config.replication = mode;
-        standbys = `Lowest k;
-        on_crash = `Rehome;
-      }
-    in
-    let cl = Dex.cluster ~nodes ~net ~proto () in
-    let final = ref (-1L) in
-    let proc =
-      Dex.run cl (fun proc main ->
-          let counter =
-            Process.memalign main ~align:4096 ~bytes:8 ~tag:"fo.counter"
-          in
-          Process.store main counter 0L;
-          let threads =
-            List.init writers (fun i ->
-                Process.spawn proc (fun th ->
-                    (* In the double-crash row, keep writers off the doomed
-                       standby: increments parked on a crashed worker node
-                       die with it (fail-stop node-local loss, not a
-                       replication gap). *)
-                    let home =
-                      if double then 2 + (i mod (nodes - 2)) else i + 1
-                    in
-                    Process.migrate th home;
-                    for _ = 1 to rounds do
-                      ignore (Process.fetch_add th counter 1L);
-                      Process.compute th ~ns:(Time_ns.us 30)
-                    done))
-          in
-          Process.migrate main 2;
-          if crash then begin
-            Process.compute main ~ns:(Time_ns.us crash_at_us);
-            Cluster.crash_node cl ~node:0;
-            if double then Cluster.crash_node cl ~node:1
-          end;
-          List.iter Process.join threads;
-          final := Process.load main counter)
-    in
-    (cl, proc, !final)
-  in
-  let expect = writers * rounds in
   Format.printf "  %-26s %10s %9s %8s %8s %12s@." "" "sim time" "counter"
     "fences" "entries" "recover(us)";
-  let row label (cl, proc, final) =
+  let row label { Dex_scenarios.cluster = cl; proc; final; expect } =
     let pget = Dex_sim.Stats.get (Process.stats proc) in
     Format.printf "  %-26s %8.2fms %5Ld/%-3d %8d %8d %12s@." label
       (Time_ns.to_ms_f (Dex.elapsed cl))
@@ -870,14 +771,14 @@ let failover_bench () =
          Printf.sprintf "%.1f" (float_of_int (pget "ha.failover_ns") /. 1000.0)
        else "-")
   in
-  row "replication off" (run ~crash:false `Off);
-  row "sync k=1, healthy" (run ~crash:false `Sync);
-  row "sync k=2, healthy" (run ~k:2 ~crash:false `Sync);
-  row "sync k=3, healthy" (run ~k:3 ~crash:false `Sync);
-  row "async lag 8, healthy" (run ~crash:false (`Async 8));
-  row "sync k=1, origin dies" (run ~crash:true `Sync);
-  row "sync k=2, double crash" (run ~k:2 ~crash:true ~double:true `Sync);
-  row "async lag 8, origin dies" (run ~crash:true (`Async 8));
+  row "replication off" (run `Off);
+  row "sync k=1, healthy" (run `Sync);
+  row "sync k=2, healthy" (run ~k:2 `Sync);
+  row "sync k=3, healthy" (run ~k:3 `Sync);
+  row "async lag 8, healthy" (run (`Async 8));
+  row "sync k=1, origin dies" (run ~crash_at `Sync);
+  row "sync k=2, double crash" (run ~k:2 ~crash_at ~double_crash:true `Sync);
+  row "async lag 8, origin dies" (run ~crash_at (`Async 8));
   Format.printf
     "  -> 'healthy' rows price the replication log per replica-set size \
      (sync pays a majority-ack fence on every externalized grant); the \
@@ -1102,18 +1003,15 @@ let delegation_bench () =
       | Some w -> { config with Core_config.delegation_dispatch = w }
     in
     let cl = Dex.cluster ~nodes ~config () in
-    let pstats = ref None in
-    let psizes = ref None in
-    ignore
-      (Dex.run cl (fun proc main ->
-           pstats := Some (Process.stats proc);
-           psizes := Some (Process.delegation_batch_sizes proc);
-           body cl proc main));
+    let proc = Dex.run cl (body cl) in
     let f = Dex_sim.Stats.get (Dex_net.Fabric.stats (Cluster.fabric cl)) in
     let roundtrips =
       f "sent.delegate" + f "sent.delegate_batch" + f "sent.vma"
     in
-    (Dex.elapsed cl, roundtrips, Option.get !pstats, Option.get !psizes)
+    ( Dex.elapsed cl,
+      roundtrips,
+      Process.stats proc,
+      Process.delegation_batch_sizes proc )
   in
   (* KMN: every k-means iteration ends in barrier crossings. *)
   let kmn_phase _cl proc main =
@@ -1314,21 +1212,6 @@ let serve_bench () =
     (pct fifo 99.0) (pct fair 99.0);
   (* Fault rows. Equal digests mean the same requests produced the same
      answers — checked tenant by tenant against the no-fault baseline. *)
-  let chaos_net ~nodes =
-    let chaos =
-      {
-        Dex_net.Net_config.chaos_default with
-        Dex_net.Net_config.chaos_seed = 11;
-        rto = Time_ns.us 20;
-        rto_cap = Time_ns.us 100;
-        max_retransmits = 4;
-      }
-    in
-    {
-      (Dex_net.Net_config.default ~nodes ()) with
-      Dex_net.Net_config.chaos = Some chaos;
-    }
-  in
   let crash_row ~label ~ha ~victim_node ~spared cfg =
     let nodes = S.required_nodes cfg in
     let proto =
@@ -1341,7 +1224,8 @@ let serve_bench () =
           }
     in
     let run ?events () =
-      S.run ~net:(chaos_net ~nodes) ?proto ?events cfg
+      S.run ~net:(Dex_scenarios.reliable_net ~seed:11 ~nodes) ?proto ?events
+        cfg
     in
     let baseline = run () in
     let crashed =

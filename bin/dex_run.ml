@@ -149,11 +149,9 @@ let sweep_cmd =
 let demo_workload ?net ?config ~nodes () =
   let cl = Dex_core.Dex.cluster ~nodes ?net ?config () in
   let events = ref [] in
-  let alloc = ref None in
   let module P = Dex_core.Process in
   let proc =
     Dex_core.Dex.run cl (fun proc main ->
-         alloc := Some (P.allocator proc);
          let trace = Dex_profile.Trace.attach (P.coherence proc) in
          let hot = P.malloc main ~bytes:8 ~tag:"hot_flag" in
          let cold = P.memalign main ~align:4096 ~bytes:65536 ~tag:"table" in
@@ -172,7 +170,7 @@ let demo_workload ?net ?config ~nodes () =
          List.iter P.join threads;
          events := Dex_profile.Trace.events trace)
   in
-  (cl, proc, !events, !alloc)
+  (cl, proc, !events)
 
 let batch_arg =
   let doc =
@@ -189,8 +187,10 @@ let config_of ~batch =
 let profile_cmd =
   let run nodes batch =
     let config = config_of ~batch in
-    let _cl, proc, events, alloc = demo_workload ?config ~nodes () in
-    Dex_profile.Report.pp_summary ?alloc Format.std_formatter events;
+    let _cl, proc, events = demo_workload ?config ~nodes () in
+    Dex_profile.Report.pp_summary
+      ~alloc:(Dex_core.Process.allocator proc)
+      Format.std_formatter events;
     Dex_profile.Report.pp_delegation
       ~batch_sizes:(Dex_core.Process.delegation_batch_sizes proc)
       Format.std_formatter
@@ -231,7 +231,7 @@ let chaos_cmd =
     Arg.(value & flag & info [ "sweep" ] ~doc)
   in
   let net_of ~nodes ~seed ~reorder ~jitter ~drop ~dup =
-    let chaos =
+    Dex_scenarios.with_chaos ~nodes
       {
         Dex_net.Net_config.chaos_default with
         Dex_net.Net_config.chaos_seed = seed;
@@ -240,8 +240,6 @@ let chaos_cmd =
         reorder_prob = reorder;
         delay_jitter_ns = jitter;
       }
-    in
-    { (Dex_net.Net_config.default ~nodes ()) with Dex_net.Net_config.chaos = Some chaos }
   in
   let run nodes drop dup reorder jitter seed sweep batch =
     let config = config_of ~batch in
@@ -253,7 +251,7 @@ let chaos_cmd =
           let net =
             net_of ~nodes ~seed ~reorder ~jitter ~drop ~dup:(drop /. 2.0)
           in
-          let cl, _, events, _ = demo_workload ~net ?config ~nodes () in
+          let cl, _, events = demo_workload ~net ?config ~nodes () in
           let get =
             Dex_sim.Stats.get (Dex_net.Fabric.stats (Dex_core.Cluster.fabric cl))
           in
@@ -266,10 +264,11 @@ let chaos_cmd =
     end
     else begin
       let net = net_of ~nodes ~seed ~reorder ~jitter ~drop ~dup in
-      let cl, proc, events, alloc = demo_workload ~net ?config ~nodes () in
+      let cl, proc, events = demo_workload ~net ?config ~nodes () in
       let fstats = Dex_net.Fabric.stats (Dex_core.Cluster.fabric cl) in
-      Dex_profile.Report.pp_summary ?alloc ~net:fstats Format.std_formatter
-        events;
+      Dex_profile.Report.pp_summary
+        ~alloc:(Dex_core.Process.allocator proc)
+        ~net:fstats Format.std_formatter events;
       Dex_profile.Report.pp_delegation
         ~batch_sizes:(Dex_core.Process.delegation_batch_sizes proc)
         Format.std_formatter
@@ -287,6 +286,12 @@ let chaos_cmd =
     Term.(
       const run $ nodes_arg $ drop_arg $ dup_arg $ reorder_arg $ jitter_arg
       $ seed_arg $ sweep_arg $ batch_arg)
+
+(* A crash instant from --crash-at-us. A negative one is rejected here,
+   before anything runs, for every subcommand that schedules a crash. *)
+let crash_time us =
+  if us < 0 then invalid_arg "--crash-at-us must be >= 0";
+  Dex_sim.Time_ns.us us
 
 let crash_cmd =
   let crash_node_arg =
@@ -324,22 +329,10 @@ let crash_cmd =
           Format.eprintf "crash: unknown policy %S (abort or rehome)@." s;
           exit 2
     in
-    let crash_at = Dex_sim.Time_ns.us crash_at_us in
-    let chaos =
-      {
-        Dex_net.Net_config.chaos_default with
-        Dex_net.Net_config.chaos_seed = 23;
-        rto = Dex_sim.Time_ns.us 100;
-        rto_cap = Dex_sim.Time_ns.us 500;
-        max_retransmits = 8;
-        crashes = [ { Dex_net.Net_config.crash_node; crash_at } ];
-      }
-    in
+    let crash_at = crash_time crash_at_us in
     let net =
-      {
-        (Dex_net.Net_config.default ~nodes ()) with
-        Dex_net.Net_config.chaos = Some chaos;
-      }
+      Dex_scenarios.crash_net ~nodes
+        [ { Dex_net.Net_config.crash_node; crash_at } ]
     in
     let proto =
       { Dex_proto.Proto_config.default with Dex_proto.Proto_config.on_crash }
@@ -391,32 +384,11 @@ let crash_cmd =
         rounds
         (if crashed.(node) then "  (aborted)" else "")
     done;
-    let coh = P.coherence proc in
     Dex_profile.Report.pp_crash Format.std_formatter
-      (Dex_proto.Coherence.stats coh);
-    let pget = Dex_sim.Stats.get (P.stats proc) in
-    Format.printf
-      "recovery: threads_aborted=%d threads_rehomed=%d futex_cancelled=%d \
-       migrations_refused=%d@."
-      (pget "crash.threads_aborted")
-      (pget "crash.threads_rehomed")
-      (pget "crash.futex_cancelled")
-      (pget "crash.migrations_refused");
-    Dex_proto.Coherence.check_invariants coh;
-    let ghosts = ref 0 in
-    for shard = 0 to Dex_proto.Coherence.shard_count coh - 1 do
-      Dex_mem.Directory.iter
-        (Dex_proto.Coherence.shard_directory coh ~shard)
-        (fun _ st ->
-          match st with
-          | Dex_mem.Directory.Exclusive n when n = crash_node -> incr ghosts
-          | Dex_mem.Directory.Shared set
-            when Dex_mem.Node_set.mem set crash_node ->
-              incr ghosts
-          | _ -> ())
-    done;
+      (Dex_proto.Coherence.stats (P.coherence proc));
+    Dex_scenarios.pp_recovery Format.std_formatter proc;
     Format.printf "post-reclaim invariants: ok (ghost directory entries: %d)@."
-      !ghosts;
+      (Dex_scenarios.audit_reclaim proc ~dead:crash_node);
     Format.printf "sim time: %.2fms@."
       (Dex_sim.Time_ns.to_ms_f (Dex_core.Dex.elapsed cl));
     0
@@ -485,75 +457,23 @@ let failover_cmd =
           Format.eprintf "failover: unknown mode %S (sync or async)@." s;
           exit 2
     in
-    let chaos =
-      {
-        Dex_net.Net_config.chaos_default with
-        Dex_net.Net_config.chaos_seed = 11;
-        rto = Dex_sim.Time_ns.us 20;
-        rto_cap = Dex_sim.Time_ns.us 100;
-        max_retransmits = 4;
-      }
+    let crash_at = crash_time crash_at_us in
+    let { Dex_scenarios.cluster = cl; proc; final; expect } =
+      Dex_scenarios.failover ~nodes ~replication ~standbys ~rounds ~crash_at
+        ~double_crash ()
     in
-    let net =
-      {
-        (Dex_net.Net_config.default ~nodes ()) with
-        Dex_net.Net_config.chaos = Some chaos;
-      }
-    in
-    let proto =
-      {
-        Dex_proto.Proto_config.default with
-        Dex_proto.Proto_config.replication;
-        standbys = `Lowest standbys;
-        on_crash = `Rehome;
-      }
-    in
-    let cl = Dex_core.Dex.cluster ~nodes ~net ~proto () in
     let module P = Dex_core.Process in
-    let writers = nodes - 1 in
-    let final = ref (-1L) in
-    (* Writers on every non-origin node hammer one shared counter; the
-       origin fail-stops mid-run. Main rides out the crash off-origin —
-       anything left on the origin dies with it. *)
-    let proc =
-      Dex_core.Dex.run cl (fun proc main ->
-          let counter = P.memalign main ~align:4096 ~bytes:8 ~tag:"counter" in
-          P.store main counter 0L;
-          let threads =
-            List.init writers (fun i ->
-                P.spawn proc ~name:(Printf.sprintf "w%d" (i + 1)) (fun th ->
-                    (* With --double-crash, keep writers off the doomed
-                       standby: increments parked on a crashed worker node
-                       die with it (fail-stop), which is node-local state
-                       loss, not a replication gap. *)
-                    let home =
-                      if double_crash then 2 + (i mod (nodes - 2)) else i + 1
-                    in
-                    P.migrate th home;
-                    for _ = 1 to rounds do
-                      ignore (P.fetch_add th counter 1L);
-                      P.compute th ~ns:(Dex_sim.Time_ns.us 30)
-                    done))
-          in
-          P.migrate main (if nodes > 2 then 2 else 1);
-          P.compute main ~ns:(Dex_sim.Time_ns.us crash_at_us);
-          Dex_core.Cluster.crash_node cl ~node:0;
-          if double_crash then Dex_core.Cluster.crash_node cl ~node:1;
-          List.iter P.join threads;
-          final := P.load main counter)
-    in
-    let expect = writers * rounds in
     Format.printf "failover: %s @%.1fms (%s replication%s, %d writers x %d rounds)@."
       (if double_crash then "origin 0 and standby 1 die" else "origin 0 dies")
-      (Dex_sim.Time_ns.to_ms_f (Dex_sim.Time_ns.us crash_at_us))
+      (Dex_sim.Time_ns.to_ms_f crash_at)
       mode
       (if standbys > 1 then Printf.sprintf ", k=%d" standbys else "")
-      writers rounds;
-    Format.printf "  counter: %Ld/%d %s@." !final expect
-      (if !final = Int64.of_int expect then "(no lost writes)"
+      (nodes - 1) rounds;
+    Format.printf "  counter: %Ld/%d %s@." final expect
+      (if final = Int64.of_int expect then "(no lost writes)"
        else
          Printf.sprintf "(%Ld lost - %s)"
-           (Int64.sub (Int64.of_int expect) !final)
+           (Int64.sub (Int64.of_int expect) final)
            (match replication with
            | `Sync -> "UNEXPECTED under sync"
            | `Async _ -> "bounded by the async lag"));
@@ -579,7 +499,7 @@ let failover_cmd =
     Format.printf "post-failover invariants: ok@.";
     Format.printf "sim time: %.2fms@."
       (Dex_sim.Time_ns.to_ms_f (Dex_core.Dex.elapsed cl));
-    if replication = `Sync && !final <> Int64.of_int expect then 1 else 0
+    if replication = `Sync && final <> Int64.of_int expect then 1 else 0
   in
   Cmd.v
     (Cmd.info "failover"
@@ -700,15 +620,7 @@ let serve_cmd =
        --chaos additionally injects faults on the wire. *)
     let net =
       if chaos || crash_at_us > 0 then
-        let c =
-          {
-            Dex_net.Net_config.chaos_default with
-            Dex_net.Net_config.chaos_seed = seed;
-            rto = Dex_sim.Time_ns.us 20;
-            rto_cap = Dex_sim.Time_ns.us 100;
-            max_retransmits = 4;
-          }
-        in
+        let c = Dex_scenarios.reliable_chaos ~seed in
         let c =
           if chaos then
             {
@@ -720,11 +632,7 @@ let serve_cmd =
             }
           else c
         in
-        Some
-          {
-            (Dex_net.Net_config.default ~nodes ()) with
-            Dex_net.Net_config.chaos = Some c;
-          }
+        Some (Dex_scenarios.with_chaos ~nodes c)
       else None
     in
     let events =
@@ -733,7 +641,7 @@ let serve_cmd =
         let victim = if ha then 0 else 1 in
         Some
           [
-            ( Dex_sim.Time_ns.us crash_at_us,
+            ( crash_time crash_at_us,
               fun cl -> Dex_core.Cluster.crash_node cl ~node:victim );
           ]
     in

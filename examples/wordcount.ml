@@ -36,28 +36,28 @@ let () =
   Format.printf "@.== page-fault profile of the naive port ==@.";
   let cl = Dex.cluster ~nodes:2 () in
   let events = ref [] in
-  let alloc = ref None in
-  ignore
-    (Dex.run cl (fun proc main ->
-         alloc := Some (Process.allocator proc);
-         let trace = Dex_profile.Trace.attach (Process.coherence proc) in
-         let total = Process.malloc main ~bytes:8 ~tag:"wordcount.total" in
-         let start = Sync.Barrier.create proc ~parties:2 () in
-         let th =
-           Process.spawn proc (fun th ->
-               Process.migrate th 1;
-               Sync.Barrier.await th start;
-               for _ = 1 to 30 do
-                 ignore
-                   (Process.fetch_add th ~site:"wordcount.scan_loop" total 1L);
-                 Process.compute th ~ns:(Dex_sim.Time_ns.us 20)
-               done)
-         in
-         Sync.Barrier.await main start;
-         for _ = 1 to 30 do
-           ignore (Process.fetch_add main ~site:"wordcount.scan_loop" total 1L);
-           Process.compute main ~ns:(Dex_sim.Time_ns.us 20)
-         done;
-         Process.join th;
-         events := Dex_profile.Trace.events trace));
-  Dex_profile.Report.pp_summary ?alloc:!alloc Format.std_formatter !events
+  let proc =
+    Dex.run cl (fun proc main ->
+        let trace = Dex_profile.Trace.attach (Process.coherence proc) in
+        let total = Process.malloc main ~bytes:8 ~tag:"wordcount.total" in
+        let start = Sync.Barrier.create proc ~parties:2 () in
+        let th =
+          Process.spawn proc (fun th ->
+              Process.migrate th 1;
+              Sync.Barrier.await th start;
+              for _ = 1 to 30 do
+                ignore
+                  (Process.fetch_add th ~site:"wordcount.scan_loop" total 1L);
+                Process.compute th ~ns:(Dex_sim.Time_ns.us 20)
+              done)
+        in
+        Sync.Barrier.await main start;
+        for _ = 1 to 30 do
+          ignore (Process.fetch_add main ~site:"wordcount.scan_loop" total 1L);
+          Process.compute main ~ns:(Dex_sim.Time_ns.us 20)
+        done;
+        Process.join th;
+        events := Dex_profile.Trace.events trace)
+  in
+  Dex_profile.Report.pp_summary ~alloc:(Process.allocator proc)
+    Format.std_formatter !events

@@ -3,17 +3,15 @@
 
 val pp_summary :
   ?alloc:Dex_mem.Allocator.t ->
-  ?stats:Dex_sim.Stats.t ->
   ?net:Dex_sim.Stats.t ->
   Format.formatter ->
   Dex_proto.Fault_event.t list ->
   unit
 (** Full report: totals, kinds, hottest sites/objects, contended pages and
-    fault-frequency timeline. Pass the protocol's [stats]
-    ({!Dex_proto.Coherence.stats}) to include a prefetch effectiveness
-    line (issued/hit/waste/accuracy) when prefetching was active, and the
-    fabric's [net] stats ({!Dex_net.Fabric.stats}) to include a chaos
-    fault-injection digest when chaos was active. *)
+    fault-frequency timeline. Pass the fabric's [net] stats
+    ({!Dex_net.Fabric.stats}) to include a chaos fault-injection digest
+    when chaos was active. The protocol's own digests ({!pp_prefetch},
+    {!pp_crash}, {!pp_autopilot}) print separately. *)
 
 val pp_prefetch : Format.formatter -> Dex_sim.Stats.t -> unit
 (** Just the prefetch digest; prints nothing when no prefetches were
@@ -25,16 +23,14 @@ val pp_chaos : Format.formatter -> Dex_sim.Stats.t -> unit
 
 val pp_crash : Format.formatter -> Dex_sim.Stats.t -> unit
 (** Just the crash-recovery digest from the protocol's [crash.*] counters
-    ({!Dex_proto.Coherence.stats}); prints nothing when no node crashed.
-    Included in {!pp_summary} automatically when [stats] is passed. *)
+    ({!Dex_proto.Coherence.stats}); prints nothing when no node crashed. *)
 
 val pp_autopilot : Format.formatter -> Dex_sim.Stats.t -> unit
 (** Placement-autopilot digest from the protocol's [autopilot.*] counters
     ({!Dex_proto.Coherence.stats}): profiling ticks, thread co-locations,
     page re-homes (with the busy/redirect/re-steer/mirror/fallback
     traffic they caused) and replicate-don't-invalidate activity. Prints
-    nothing when no autopilot ticked. Included in {!pp_summary}
-    automatically when [stats] is passed. *)
+    nothing when no autopilot ticked. *)
 
 val pp_delegation :
   ?batch_sizes:Dex_sim.Histogram.t ->
@@ -74,16 +70,6 @@ val pp_serve :
     sojourn latency in µs — capped off by a [fleet] row merging every
     tenant's samples ({!Dex_sim.Histogram.merge}) when there is more than
     one. Prints nothing when no traffic was offered. *)
-
-val pp_shard : Format.formatter -> Dex_sim.Stats.t -> unit
-(** Sharded-home digest from the protocol's [shard.*] counters
-    ({!Dex_proto.Coherence.stats}): shard count, grants served by a
-    requester's own home vs another node's ([local]/[remote] plus the
-    derived locality percentage), syscall delegations routed to a
-    non-origin home ([cross_ops]) and per-shard failover promotions.
-    Prints nothing when sharding is off — the counters are only
-    maintained with more than one shard. Included in {!pp_summary}
-    automatically when [stats] is passed. *)
 
 val pp_compact : Format.formatter -> Analysis.summary -> unit
 (** One-paragraph digest. *)

@@ -293,6 +293,12 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
         if s < 1 then invalid_arg "Coherence.create: shard count must be >= 1";
         s
   in
+  (match cfg.Proto_config.replication with
+  | `Async lag when lag < 0 ->
+      (* No quorum watermark can ever satisfy a negative lag: the first
+         fence would wait forever. *)
+      invalid_arg "Coherence.create: async lag must be >= 0"
+  | `Async _ | `Sync | `Off -> ());
   (* Shard s is homed at (origin + s) mod n: shard 0 is always the process
      origin (the VMA/allocator/file services live there), and shard count
      may exceed the node count — homes then wrap. *)

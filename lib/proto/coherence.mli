@@ -98,7 +98,8 @@ val create :
 (** One protocol instance per distributed process; [pid] disambiguates the
     wire messages of multiple processes sharing a fabric (default 0). The
     caller must route fabric messages to {!handler}. Raises
-    [Invalid_argument] on a bad [origin] or a non-positive shard count. *)
+    [Invalid_argument] on a bad [origin], a non-positive shard count or a
+    negative [`Async] lag. *)
 
 val pid : t -> int
 (** The process id used to tag this instance's wire messages. *)

@@ -4,8 +4,6 @@ module Pool = struct
     capacity : int;
     mutable in_use : int;
     mutable waits : int;
-    mutable busy_integral : int;  (* unit-ns accumulated *)
-    mutable last_change : Time_ns.t;
     waiters : unit Waitq.t;
   }
 
@@ -16,25 +14,15 @@ module Pool = struct
       capacity;
       in_use = 0;
       waits = 0;
-      busy_integral = 0;
-      last_change = Engine.now engine;
       waiters = Waitq.create ();
     }
-
-  let account t =
-    let now = Engine.now t.engine in
-    t.busy_integral <- t.busy_integral + (t.in_use * (now - t.last_change));
-    t.last_change <- now
 
   let capacity t = t.capacity
   let in_use t = t.in_use
   let waits t = t.waits
 
   let acquire t =
-    if t.in_use < t.capacity then begin
-      account t;
-      t.in_use <- t.in_use + 1
-    end
+    if t.in_use < t.capacity then t.in_use <- t.in_use + 1
     else begin
       t.waits <- t.waits + 1;
       Waitq.wait t.engine t.waiters;
@@ -44,14 +32,7 @@ module Pool = struct
   let release t =
     if t.in_use <= 0 then invalid_arg "Pool.release: not acquired";
     (* Handing the unit to a waiter keeps in_use constant. *)
-    if not (Waitq.wake_one t.waiters ()) then begin
-      account t;
-      t.in_use <- t.in_use - 1
-    end
-
-  let busy_core_ns t =
-    t.busy_integral
-    + (t.in_use * (Engine.now t.engine - t.last_change))
+    if not (Waitq.wake_one t.waiters ()) then t.in_use <- t.in_use - 1
 
   let use t d =
     acquire t;

@@ -23,10 +23,6 @@ module Pool : sig
   val waits : t -> int
   (** Number of [acquire] calls that had to block (pool exhausted). *)
 
-  val busy_core_ns : t -> int
-  (** Integral of units-in-use over time (core-nanoseconds consumed so
-      far) — the basis for utilization and energy accounting. *)
-
   val release : t -> unit
 
   val use : t -> Time_ns.t -> unit

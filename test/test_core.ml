@@ -799,17 +799,8 @@ let test_chaos_end_to_end () =
    deterministic; detection rides the retry budget (~340us here).        *)
 
 let crash_net ?(max_retransmits = 4) ~nodes () =
-  let open Dex_net.Net_config in
-  let chaos =
-    {
-      chaos_default with
-      chaos_seed = 11;
-      rto = Time_ns.us 20;
-      rto_cap = Time_ns.us 100;
-      max_retransmits;
-    }
-  in
-  { (default ~nodes ()) with chaos = Some chaos }
+  Dex_scenarios.with_chaos ~nodes
+    { (Dex_scenarios.reliable_chaos ~seed:11) with max_retransmits }
 
 (* Shared workload: a survivor on node 1 stores a shared flag every round
    (so the victim's cached copy keeps getting revoked and its next load

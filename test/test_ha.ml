@@ -28,17 +28,7 @@ let us = Time_ns.us
 
 (* Deterministic chaos fabric (no injected faults): fail-stop crashes need
    the reliable transport, and a short retry budget keeps detection quick. *)
-let crash_net ?(max_retransmits = 4) ~nodes () =
-  let chaos =
-    {
-      Net_config.chaos_default with
-      Net_config.chaos_seed = 11;
-      rto = us 20;
-      rto_cap = us 100;
-      max_retransmits;
-    }
-  in
-  { (Net_config.default ~nodes ()) with Net_config.chaos = Some chaos }
+let crash_net ~nodes () = Dex_scenarios.reliable_net ~seed:11 ~nodes
 
 let ha_proto ?(k = 1) ?standbys mode =
   {
@@ -57,6 +47,18 @@ let cstat proc name = Stats.get (Dex_proto.Coherence.stats (Process.coherence pr
    registration order breaking ties. HA promotion (10) must sit between
    directory reclaim (0) and process thread recovery (20) — a regression
    here would let threads be re-homed against a dead directory.          *)
+
+(* A negative async lag can never be met, so the first fence would wait
+   forever: the protocol rejects it when the process is created. *)
+let test_async_negative_lag_rejected () =
+  let fabric = Fabric.create (Engine.create ()) (crash_net ~nodes:3 ()) in
+  let create mode =
+    ignore (Dex_proto.Coherence.create ~cfg:(ha_proto mode) fabric ~origin:0)
+  in
+  Alcotest.check_raises "lag -1"
+    (Invalid_argument "Coherence.create: async lag must be >= 0") (fun () ->
+      create (`Async (-1)));
+  create (`Async 0)
 
 let test_on_crash_priority () =
   let e = Engine.create () in
@@ -780,6 +782,8 @@ let () =
             test_sync_failover_no_lost_writes;
           Alcotest.test_case "async: bounded loss, run completes" `Quick
             test_async_failover_completes;
+          Alcotest.test_case "async: negative lag rejected" `Quick
+            test_async_negative_lag_rejected;
           Alcotest.test_case "futex wait survives failover" `Quick
             test_futex_across_failover;
           Alcotest.test_case "batched futex wait survives failover" `Quick

@@ -21,17 +21,7 @@ let us = Time_ns.us
 
 (* Deterministic chaos fabric with no injected faults: crashes need the
    reliable transport, and a short retry budget keeps detection quick. *)
-let crash_net ~nodes () =
-  let chaos =
-    {
-      Net_config.chaos_default with
-      Net_config.chaos_seed = 11;
-      rto = us 20;
-      rto_cap = us 100;
-      max_retransmits = 4;
-    }
-  in
-  { (Net_config.default ~nodes ()) with chaos = Some chaos }
+let crash_net ~nodes () = Dex_scenarios.reliable_net ~seed:11 ~nodes
 
 let tenant name ?(rate = 2.0) ?(inflight = 4) ?(pending = 0) () =
   {
