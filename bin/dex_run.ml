@@ -376,19 +376,33 @@ let crash_cmd =
               crashed.(node) <- P.crashed th)
             threads)
     in
-    Format.printf "crash: node %d dies @%.1fms (policy=%s)@." crash_node
-      (Dex_sim.Time_ns.to_ms_f crash_at)
-      policy;
+    let coh_stats = Dex_proto.Coherence.stats (P.coherence proc) in
+    (* A crash scheduled after the program's end reclaims nothing (the
+       exited process no longer listens for it): there is nothing to
+       audit. *)
+    let died = Dex_sim.Stats.get coh_stats "crash.nodes" > 0 in
+    if died then
+      Format.printf "crash: node %d dies @%.1fms (policy=%s)@." crash_node
+        (Dex_sim.Time_ns.to_ms_f crash_at)
+        policy
+    else
+      Format.printf
+        "crash: node %d never died: the program finished before the crash \
+         at %.1fms (policy=%s)@."
+        crash_node
+        (Dex_sim.Time_ns.to_ms_f crash_at)
+        policy;
     for node = 1 to nodes - 1 do
       Format.printf "  thread n%d: %d/%d rounds%s@." node progress.(node)
         rounds
         (if crashed.(node) then "  (aborted)" else "")
     done;
-    Dex_profile.Report.pp_crash Format.std_formatter
-      (Dex_proto.Coherence.stats (P.coherence proc));
+    Dex_profile.Report.pp_crash Format.std_formatter coh_stats;
     Dex_scenarios.pp_recovery Format.std_formatter proc;
-    Format.printf "post-reclaim invariants: ok (ghost directory entries: %d)@."
-      (Dex_scenarios.audit_reclaim proc ~dead:crash_node);
+    if died then
+      Format.printf
+        "post-reclaim invariants: ok (ghost directory entries: %d)@."
+        (Dex_scenarios.audit_reclaim proc ~dead:crash_node);
     Format.printf "sim time: %.2fms@."
       (Dex_sim.Time_ns.to_ms_f (Dex_core.Dex.elapsed cl));
     0
@@ -457,6 +471,7 @@ let failover_cmd =
           Format.eprintf "failover: unknown mode %S (sync or async)@." s;
           exit 2
     in
+    if rounds < 0 then invalid_arg "--rounds must be >= 0";
     let crash_at = crash_time crash_at_us in
     let { Dex_scenarios.cluster = cl; proc; final; expect } =
       Dex_scenarios.failover ~nodes ~replication ~standbys ~rounds ~crash_at

@@ -44,16 +44,9 @@ let set_shared t p readers =
   (entry t p).state <- Shared readers;
   notify t p (Some (Shared readers))
 
-let add_reader t p node =
-  let e = entry t p in
-  match e.state with
-  | Shared readers ->
-      let readers = Node_set.add readers node in
-      e.state <- Shared readers;
-      notify t p (Some (Shared readers))
-  | Exclusive owner when owner = node -> ()
-  | Exclusive _ ->
-      invalid_arg "Directory.add_reader: page exclusively owned elsewhere"
+let set t p = function
+  | Exclusive node -> set_exclusive t p node
+  | Shared readers -> set_shared t p readers
 
 let has_valid_copy t p node =
   match state t p with
@@ -91,12 +84,7 @@ let snapshot t =
 
 let restore ~origin entries =
   let t = create ~origin in
-  List.iter
-    (fun (p, st) ->
-      match st with
-      | Exclusive node -> set_exclusive t p node
-      | Shared readers -> set_shared t p readers)
-    entries;
+  List.iter (fun (p, st) -> set t p st) entries;
   t
 
 let check_invariants t =

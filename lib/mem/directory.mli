@@ -19,7 +19,7 @@ val origin : t -> int
 
 val set_observer : t -> (Page.vpn -> state option -> unit) option -> unit
 (** Install (or clear) a mutation observer, called after every state
-    change: [Some state] for {!set_exclusive}/{!set_shared}/{!add_reader},
+    change: [Some state] for {!set_exclusive}/{!set_shared}/{!set},
     [None] for {!forget}. Implicit entry creation (an untracked page read
     back as [Exclusive origin]) is not a mutation and is never reported.
     Used by the HA layer to feed the replication log. *)
@@ -40,9 +40,8 @@ val set_exclusive : t -> Page.vpn -> int -> unit
 val set_shared : t -> Page.vpn -> Node_set.t -> unit
 (** Raises [Invalid_argument] on an empty reader set. *)
 
-val add_reader : t -> Page.vpn -> int -> unit
-(** Raises [Invalid_argument] if the page is exclusively owned by another
-    node; callers must downgrade first. *)
+val set : t -> Page.vpn -> state -> unit
+(** {!set_exclusive} or {!set_shared}, by the state's shape. *)
 
 val has_valid_copy : t -> Page.vpn -> int -> bool
 (** Whether [node] holds an up-to-date copy — used for the

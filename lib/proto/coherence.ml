@@ -152,23 +152,19 @@ let scrub_dir t ~dir ~home ~node =
   Directory.iter dir (fun vpn state -> entries := (vpn, state) :: !entries);
   List.iter
     (fun (vpn, state) ->
-      match state with
-      | Directory.Exclusive owner when owner = node ->
-          (* Ownership re-homes to the home's last-known (staging) copy.
-             Whatever the dead node wrote since its grant was observed by
-             nobody — any reader would have pulled the data back through
-             the home first — so dropping those writes is linearizable:
-             it is as if they never executed. *)
-          Directory.set_exclusive dir vpn home;
-          Stats.incr t.stats "crash.pages_reclaimed"
-      | Directory.Exclusive _ -> ()
-      | Directory.Shared readers ->
-          if Node_set.mem readers node then begin
-            let rest = Node_set.remove readers node in
-            if Node_set.is_empty rest then Directory.set_exclusive dir vpn home
-            else Directory.set_shared dir vpn rest;
-            Stats.incr t.stats "crash.readers_scrubbed"
-          end)
+      (* An owned page re-homes to the home's last-known (staging) copy.
+         Whatever the dead node wrote since its grant was observed by
+         nobody — any reader would have pulled the data back through the
+         home first — so dropping those writes is linearizable: it is as
+         if they never executed. *)
+      Option.iter
+        (fun next ->
+          Directory.set dir vpn next;
+          Stats.incr t.stats
+            (match state with
+            | Directory.Exclusive _ -> "crash.pages_reclaimed"
+            | Directory.Shared _ -> "crash.readers_scrubbed"))
+        (Transition.drop state ~home ~node))
     !entries
 
 let scrub_shard t ~shard ~node =
@@ -631,17 +627,20 @@ let reclaim_from_owner t ~shard ~home ~owner ~vpn ~mode =
     end
   end
 
-(* The core ownership transition. Must run at the page's serving home; may
-   block on revocations. Returns [`Nack] when the page is busy. *)
 let requester_gone t ~home ~requester =
   requester <> home && Fabric.crash_detected t.fabric ~node:requester
 
-(* Drop freshly-declared-dead nodes from a membership about to be
-   installed: a revocation inside the current fan-out may have escalated
-   one of them to a crash after the transition was decided. *)
-let live_set t nodes =
-  Node_set.of_list
-    (List.filter (fun n -> not (Fabric.crash_detected t.fabric ~node:n)) nodes)
+(* Install a decided membership. Freshly-declared-dead nodes are dropped
+   from a reader set: a revocation inside the current fan-out may have
+   escalated one of them to a crash after the transition was decided. *)
+let install t dir vpn = function
+  | None -> ()
+  | Some (Directory.Shared readers) ->
+      Directory.set_shared dir vpn
+        (Node_set.fold readers ~init:Node_set.empty ~f:(fun n live ->
+             if Fabric.crash_detected t.fabric ~node:n then live
+             else Node_set.add live n))
+  | Some state -> Directory.set dir vpn state
 
 (* Per-shard load accounting, live only when sharding is on: grants served
    at the home for requesters co-located with it vs remote ones. *)
@@ -727,7 +726,38 @@ let push_replicas t ~shard ~home ~dir ~vpn ~requester =
             end
           end)
 
-let origin_grant t ~shard ~home ~dir ~requester ~vpn ~access =
+(* The §III-B decision for one page whose directory entry the caller has
+   locked. The home itself may have a fault in flight on the page (granted
+   but not yet retired); revoking its copy underneath it would lose the
+   pending update, so that fault drains first. Remote owners get the same
+   protection in their Revoke handler. *)
+let decide_locked t ~dir ~home ~requester ~vpn ~access =
+  if requester <> home then Fault_table.await_idle t.ftables.(home) ~vpn;
+  Transition.decide (Directory.state dir vpn) ~access ~requester ~home
+    ~grant_without_data:t.cfg.Proto_config.grant_without_data
+
+(* The grant tail both shells share. With [grant_without_data] off (the
+   ablation) a requester that already holds a valid copy is still charged
+   the full page on the wire, but keeps its own bytes: as exclusive owner
+   its copy is newer than the home's staging copy. *)
+let grant_data t ~home ~vpn (v : Transition.verdict) =
+  if v.wire_data && not v.had_copy then
+    snapshot_if_materialized t.stores.(home) vpn
+  else None
+
+let count_grant t ~shard ~home ~requester (v : Transition.verdict) data =
+  Stats.incr t.stats (if v.wire_data then "grant.data" else "grant.nodata");
+  note_shard_grant t ~shard ~home ~requester;
+  `Grant (data, v.wire_data)
+
+(* One page's ownership transition, run at the page's serving home; may
+   block on revocations. Returns [`Nack] when the page is busy. A [probe]
+   (a duplicate fault's request, whose reply its node discards) is only
+   answered when the decision is a no-op and is NACKed otherwise: moving
+   ownership for a node that throws the grant away would leave the
+   directory naming a holder with no copy. *)
+let origin_grant ?(probe = false) t ~shard ~home ~dir ~requester ~vpn ~access
+    =
   if requester_gone t ~home ~requester then begin
     (* The requester died between sending the request and being serviced:
        granting would hand a page to a ghost and leave it dangling in the
@@ -755,80 +785,41 @@ let origin_grant t ~shard ~home ~dir ~requester ~vpn ~access =
     Fun.protect
       ~finally:(fun () -> Directory.unlock dir vpn)
       (fun () ->
-        (* The home itself may have a fault in flight on this page
-           (granted but not yet retired); revoking its copy underneath it
-           would lose the pending update. Remote owners get the same
-           protection in their Revoke handler. *)
-        if requester <> home then Fault_table.await_idle t.ftables.(home) ~vpn;
-        let had_copy = Directory.has_valid_copy dir vpn requester in
-        (match (access, Directory.state dir vpn) with
-        | Perm.Read, Directory.Exclusive owner when owner = requester -> ()
-        | Perm.Read, Directory.Exclusive owner ->
-            reclaim_from_owner t ~shard ~home ~owner ~vpn
-              ~mode:Messages.Downgrade;
-            (* The home mediated the transfer, so it now holds a valid
-               copy alongside the old owner and the requester. *)
-            Directory.set_shared dir vpn
-              (live_set t [ owner; home; requester ])
-        | Perm.Read, Directory.Shared _ ->
-            Directory.add_reader dir vpn requester
-        | Perm.Write, Directory.Exclusive owner when owner = requester -> ()
-        | Perm.Write, Directory.Exclusive owner ->
-            reclaim_from_owner t ~shard ~home ~owner ~vpn
-              ~mode:Messages.Invalidate;
-            note_push_subs t ~vpn [ owner ];
-            Directory.set_exclusive dir vpn requester
-        | Perm.Write, Directory.Shared readers ->
-            let victims =
-              List.filter
-                (fun n -> n <> requester && n <> home)
-                (Node_set.to_list readers)
-            in
-            revoke_parallel t ~shard ~home victims ~vpn;
-            if Node_set.mem readers home && requester <> home then
-              revoke_local t ~home ~vpn ~mode:Messages.Invalidate;
-            note_push_subs t ~vpn victims;
-            Directory.set_exclusive dir vpn requester);
-        let wire_data =
-          ((not had_copy) || not t.cfg.Proto_config.grant_without_data)
-          && requester <> home
-        in
-        (* With [grant_without_data] off (the ablation) a requester that
-           already holds a valid copy is still charged the full page on
-           the wire, but keeps its own bytes: as exclusive owner its copy
-           is newer than the home's staging copy. *)
-        let data =
-          if wire_data && not had_copy then
-            snapshot_if_materialized t.stores.(home) vpn
-          else None
-        in
-        (* Both extras below can block; they run before the ghost re-check
-           so a requester dying under them is still caught. *)
-        if home <> t.homes.(shard) then
-          Option.iter (fun d -> mirror_to_static t ~src:home ~vpn d) data;
-        if access = Perm.Read then
-          push_replicas t ~shard ~home ~dir ~vpn ~requester;
-        if requester_gone t ~home ~requester then begin
-          (* The requester's failure was declared while we were blocked in
-             the fan-out, i.e. after the reclaim pass already scrubbed the
-             directory; the transition just applied may have reintroduced
-             the ghost. Undo it: ownership falls back to the home. *)
-          Stats.incr t.stats "crash.grants_refused";
-          (match Directory.state dir vpn with
-          | Directory.Exclusive owner when owner = requester ->
-              Directory.set_exclusive dir vpn home
-          | Directory.Shared readers when Node_set.mem readers requester ->
-              let rest = Node_set.remove readers requester in
-              if Node_set.is_empty rest then Directory.set_exclusive dir vpn home
-              else Directory.set_shared dir vpn rest
-          | _ -> ());
+        let v = decide_locked t ~dir ~home ~requester ~vpn ~access in
+        if probe && not v.noop then begin
+          Stats.incr t.stats "grant.nack";
           `Nack
         end
         else begin
-          Stats.incr t.stats
-            (if wire_data then "grant.data" else "grant.nodata");
-          note_shard_grant t ~shard ~home ~requester;
-          `Grant (data, wire_data)
+          Option.iter
+            (fun (owner, mode) ->
+              reclaim_from_owner t ~shard ~home ~owner ~vpn ~mode)
+            v.reclaim;
+          revoke_parallel t ~shard ~home v.invalidate ~vpn;
+          if v.invalidate_home then
+            revoke_local t ~home ~vpn ~mode:Messages.Invalidate;
+          note_push_subs t ~vpn v.displaced;
+          install t dir vpn v.next;
+          let data = grant_data t ~home ~vpn v in
+          (* Both extras below can block; they run before the ghost
+             re-check so a requester dying under them is still caught. *)
+          if home <> t.homes.(shard) then
+            Option.iter (fun d -> mirror_to_static t ~src:home ~vpn d) data;
+          if access = Perm.Read then
+            push_replicas t ~shard ~home ~dir ~vpn ~requester;
+          if requester_gone t ~home ~requester then begin
+            (* The requester's failure was declared while we were blocked
+               in the fan-out, i.e. after the reclaim pass already scrubbed
+               the directory; the transition just applied may have
+               reintroduced the ghost. Undo it: ownership falls back to the
+               home. *)
+            Stats.incr t.stats "crash.grants_refused";
+            Option.iter (Directory.set dir vpn)
+              (Transition.drop (Directory.state dir vpn) ~home
+                 ~node:requester);
+            `Nack
+          end
+          else count_grant t ~shard ~home ~requester v data
         end)
 
 (* Batched ownership transition for a demand page plus its prefetch run.
@@ -857,7 +848,7 @@ let origin_grant_batch t ~shard ~requester ~vpns ~access =
     let reclaims = ref [] in
     (* victim node -> pages to invalidate there, accumulated in reverse *)
     let victims : (int, Page.vpn list ref) Hashtbl.t = Hashtbl.create 8 in
-    let add_victim target vpn =
+    let add_victim vpn target =
       match Hashtbl.find_opt victims target with
       | Some cell -> cell := vpn :: !cell
       | None -> Hashtbl.add victims target (ref [ vpn ])
@@ -891,44 +882,14 @@ let origin_grant_batch t ~shard ~requester ~vpns ~access =
               end
               else begin
                 locked := vpn :: !locked;
-                if requester <> home then
-                  Fault_table.await_idle t.ftables.(home) ~vpn;
-                let had_copy = Directory.has_valid_copy dir vpn requester in
-                let apply =
-                  match (access, Directory.state dir vpn) with
-                  | Perm.Read, Directory.Exclusive owner when owner = requester
-                    ->
-                      fun () -> ()
-                  | Perm.Read, Directory.Exclusive owner ->
-                      reclaims := (vpn, owner, Messages.Downgrade) :: !reclaims;
-                      fun () ->
-                        Directory.set_shared dir vpn
-                          (live_set t [ owner; home; requester ])
-                  | Perm.Read, Directory.Shared _ ->
-                      fun () -> Directory.add_reader dir vpn requester
-                  | Perm.Write, Directory.Exclusive owner when owner = requester
-                    ->
-                      fun () -> ()
-                  | Perm.Write, Directory.Exclusive owner ->
-                      reclaims :=
-                        (vpn, owner, Messages.Invalidate) :: !reclaims;
-                      note_push_subs t ~vpn [ owner ];
-                      fun () -> Directory.set_exclusive dir vpn requester
-                  | Perm.Write, Directory.Shared readers ->
-                      let victims =
-                        List.filter
-                          (fun n -> n <> requester && n <> home)
-                          (Node_set.to_list readers)
-                      in
-                      List.iter (fun n -> add_victim n vpn) victims;
-                      note_push_subs t ~vpn victims;
-                      let origin_reader = Node_set.mem readers home in
-                      fun () ->
-                        if origin_reader && requester <> home then
-                          revoke_local t ~home ~vpn ~mode:Messages.Invalidate;
-                        Directory.set_exclusive dir vpn requester
-                in
-                (vpn, `Locked (had_copy, apply))
+                let v = decide_locked t ~dir ~home ~requester ~vpn ~access in
+                Option.iter
+                  (fun (owner, mode) ->
+                    reclaims := (vpn, owner, mode) :: !reclaims)
+                  v.reclaim;
+                List.iter (add_victim vpn) v.invalidate;
+                note_push_subs t ~vpn v.displaced;
+                (vpn, `Locked v)
               end)
             vpns
         in
@@ -960,23 +921,13 @@ let origin_grant_batch t ~shard ~requester ~vpns ~access =
             | `Locked _ when ghost ->
                 unlock_one vpn;
                 (vpn, `Nack)
-            | `Locked (had_copy, apply) ->
-                apply ();
-                let wire_data =
-                  ((not had_copy)
-                  || not t.cfg.Proto_config.grant_without_data)
-                  && requester <> home
-                in
-                let data =
-                  if wire_data && not had_copy then
-                    snapshot_if_materialized t.stores.(home) vpn
-                  else None
-                in
+            | `Locked (v : Transition.verdict) ->
+                if v.invalidate_home then
+                  revoke_local t ~home ~vpn ~mode:Messages.Invalidate;
+                install t dir vpn v.next;
+                let data = grant_data t ~home ~vpn v in
                 unlock_one vpn;
-                Stats.incr t.stats
-                  (if wire_data then "grant.data" else "grant.nodata");
-                note_shard_grant t ~shard ~home ~requester;
-                (vpn, `Grant (data, wire_data)))
+                (vpn, count_grant t ~shard ~home ~requester v data))
           decided)
   end
 
@@ -1024,9 +975,6 @@ let claim_prefetch t ~node ~tid ~vpn ~access =
               shard home a batch would address. *)
            && not (Hashtbl.mem t.page_view.(node) p))
 
-(* One protocol attempt as the fault leader. [prefetch] is the run of
-   predicted pages to resolve in the same round-trip (remote nodes only;
-   empty on retries). *)
 (* A page request that exhausted its retry budget against a live,
    undetected home: the home is not gone, it is slow — typically
    grinding through a revoke escalation against a dead node on this very
@@ -1083,6 +1031,64 @@ let request_failure t ~node ~shard ~dst ~steered =
     end
   end
 
+(* One single-page request from a remote node to the page's serving home:
+   the per-page steer if the autopilot set one, the shard view otherwise.
+   A [probe] (see {!Messages.Page_request}) follows the same routing and
+   adopts the same redirects and epochs, but installs nothing. *)
+let request_page t ~node ~vpn ~access ~probe =
+  let shard = shard_of t vpn in
+  let steer = Hashtbl.find_opt t.page_view.(node) vpn in
+  let dst =
+    match steer with
+    | Some d when d <> node -> d
+    | _ -> t.home_view.(node).(shard)
+  in
+  (* Backstop against a view pointing at ourselves (we just stopped
+     being the page's home): resolve the live authority directly. *)
+  let dst = if dst = node then page_home t vpn else dst in
+  match
+    Fabric.call t.fabric ~src:node ~dst ~kind:Messages.kind_page_request
+      ~size:t.cfg.Proto_config.ctl_msg_size
+      (Messages.Page_request
+         {
+           pid = t.pid;
+           vpn;
+           access;
+           epoch = t.epoch_view.(node).(shard);
+           probe;
+         })
+  with
+  | Messages.Page_nack _ -> `Nack
+  | Messages.Page_stale { epoch; _ } ->
+      (* Failover happened while we still addressed the old epoch: adopt
+         the new one and retry — the view already points at whoever
+         answered. *)
+      t.epoch_view.(node).(shard) <- epoch;
+      `Nack
+  | Messages.Page_redirect { home; _ } ->
+      (* Stale steer: the page's authority moved. Adopt the answer (or
+         drop the per-page overlay when it folds back into the shard
+         view) and retry there. *)
+      Stats.incr t.stats "autopilot.resteers";
+      if home = t.home_view.(node).(shard) then
+        Hashtbl.remove t.page_view.(node) vpn
+      else Hashtbl.replace t.page_view.(node) vpn home;
+      `Nack
+  | Messages.Page_grant { data; _ } ->
+      if not probe then begin
+        Option.iter (Page_store.install t.stores.(node) vpn) data;
+        Page_table.set t.ptables.(node) vpn access
+      end;
+      `Granted
+  | _ -> failwith "Coherence: unexpected page reply"
+  | exception (Fabric.Unreachable _ as e) -> (
+      match request_failure t ~node ~shard ~dst ~steered:(steer = Some dst) with
+      | `Nack -> `Nack
+      | `Reraise -> raise e)
+
+(* One protocol attempt as the fault leader. [prefetch] is the run of
+   predicted pages to resolve in the same round-trip (remote nodes only;
+   empty on retries). *)
 let request_once t ~node ~vpn ~access ~prefetch =
   let shard = shard_of t vpn in
   if node = page_home t vpn then begin
@@ -1103,50 +1109,7 @@ let request_once t ~node ~vpn ~access ~prefetch =
           (Fabric.Unreachable
              { src = node; dst = node; kind = Messages.kind_revoke })
   end
-  else if prefetch = [] then begin
-    let steer = Hashtbl.find_opt t.page_view.(node) vpn in
-    let dst =
-      match steer with
-      | Some d when d <> node -> d
-      | _ -> t.home_view.(node).(shard)
-    in
-    (* Backstop against a view pointing at ourselves (we just stopped
-       being the page's home): resolve the live authority directly. *)
-    let dst = if dst = node then page_home t vpn else dst in
-    match
-      Fabric.call t.fabric ~src:node ~dst
-        ~kind:Messages.kind_page_request ~size:t.cfg.Proto_config.ctl_msg_size
-        (Messages.Page_request
-           { pid = t.pid; vpn; access; epoch = t.epoch_view.(node).(shard) })
-    with
-    | Messages.Page_nack _ -> `Nack
-    | Messages.Page_stale { epoch; _ } ->
-        (* Failover happened while we still addressed the old epoch: adopt
-           the new one and retry — the view already points at whoever
-           answered. *)
-        t.epoch_view.(node).(shard) <- epoch;
-        `Nack
-    | Messages.Page_redirect { home; _ } ->
-        (* Stale steer: the page's authority moved. Adopt the answer (or
-           drop the per-page overlay when it folds back into the shard
-           view) and retry there. *)
-        Stats.incr t.stats "autopilot.resteers";
-        if home = t.home_view.(node).(shard) then
-          Hashtbl.remove t.page_view.(node) vpn
-        else Hashtbl.replace t.page_view.(node) vpn home;
-        `Nack
-    | Messages.Page_grant { data; _ } ->
-        Option.iter (Page_store.install t.stores.(node) vpn) data;
-        Page_table.set t.ptables.(node) vpn access;
-        `Granted
-    | _ -> failwith "Coherence: unexpected page reply"
-    | exception (Fabric.Unreachable _ as e) -> (
-        match
-          request_failure t ~node ~shard ~dst ~steered:(steer = Some dst)
-        with
-        | `Nack -> `Nack
-        | `Reraise -> raise e)
-  end
+  else if prefetch = [] then request_page t ~node ~vpn ~access ~probe:false
   else begin
     Stats.incr t.stats "prefetch.batch";
     Stats.add t.stats "prefetch.issued" (List.length prefetch);
@@ -1241,7 +1204,6 @@ let ensure t ~node ~tid ~site ~vpn ~access =
        was revoked meanwhile) is neither a hit nor waste; just stop
        tracking it. *)
     Hashtbl.remove t.prefetched.(node) vpn;
-    let shard = shard_of t vpn in
     let t0 = Engine.now t.engine in
     let retries = ref 0 in
     let was_leader = ref false in
@@ -1265,39 +1227,14 @@ let ensure t ~node ~tid ~site ~vpn ~access =
             loop ()
         | Fault_table.Follower _ ->
             (* Coalescing disabled (ablation): each concurrent fault runs
-               its own protocol request, and — as in the paper's
+               its own protocol round trip, and — as in the paper's
                description of stock Linux — the prepared page is simply
-               discarded because the PTE changed under it. *)
+               discarded because the PTE changed under it. The request is
+               a probe, so the home never records a grant that is thrown
+               away here. *)
             Stats.incr t.stats "fault.duplicate";
-            if node <> page_home t vpn then (
-              let steer = Hashtbl.find_opt t.page_view.(node) vpn in
-              let dst =
-                match steer with
-                | Some d when d <> node -> d
-                | _ -> t.home_view.(node).(shard)
-              in
-              try
-                ignore
-                  (Fabric.call t.fabric ~src:node ~dst
-                     ~kind:Messages.kind_page_request
-                     ~size:t.cfg.Proto_config.ctl_msg_size
-                     (Messages.Page_request
-                        {
-                          pid = t.pid;
-                          vpn;
-                          access;
-                          epoch = t.epoch_view.(node).(shard);
-                        }))
-              with Fabric.Unreachable _ as e -> (
-                (* The duplicate's result is discarded anyway; a timeout
-                   toward the live home is not worth aborting for, and a
-                   dead home just means waiting out the failover. *)
-                match
-                  request_failure t ~node ~shard ~dst
-                    ~steered:(steer = Some dst)
-                with
-                | `Nack -> ()
-                | `Reraise -> raise e))
+            if node <> page_home t vpn then
+              ignore (request_page t ~node ~vpn ~access ~probe:true)
             else Engine.delay t.engine t.cfg.Proto_config.local_op;
             loop ()
         | Fault_table.Conflict -> loop ()
@@ -1504,25 +1441,19 @@ let rehome_page t ~vpn ~node =
            and the exclusive owner's dirty copy is STRICTLY fresher, so
            overwriting its store would serve time-travelled reads and
            lose the owner's updates on the next externalization. *)
-        let target_holds =
-          match state with
-          | Directory.Exclusive owner -> owner = node
-          | Directory.Shared readers -> Node_set.mem readers node
-        in
         let ship () =
-          if target_holds then ()
-          else
-            match snapshot_if_materialized t.stores.(cur) vpn with
-          | None -> ()
-          | Some data -> (
-              match
-                Fabric.call t.fabric ~src:cur ~dst:node
-                  ~kind:Messages.kind_page_sync
-                  ~size:t.cfg.Proto_config.page_msg_size
-                  (Messages.Page_sync { pid = t.pid; vpn; data })
-              with
-              | Messages.Page_sync_ack _ -> ()
-              | _ -> failwith "Coherence: unexpected sync reply")
+          if not (Directory.has_valid_copy dir vpn node) then
+            Option.iter
+              (fun data ->
+                match
+                  Fabric.call t.fabric ~src:cur ~dst:node
+                    ~kind:Messages.kind_page_sync
+                    ~size:t.cfg.Proto_config.page_msg_size
+                    (Messages.Page_sync { pid = t.pid; vpn; data })
+                with
+                | Messages.Page_sync_ack _ -> ()
+                | _ -> failwith "Coherence: unexpected sync reply")
+              (snapshot_if_materialized t.stores.(cur) vpn)
         in
         match ship () with
         | exception Fabric.Unreachable _ ->
@@ -1544,9 +1475,7 @@ let rehome_page t ~vpn ~node =
               if node = t.homes.(shard) then t.dirs.(shard)
               else t.rehome_dirs.(node)
             in
-            (match state with
-            | Directory.Exclusive owner -> Directory.set_exclusive ndir vpn owner
-            | Directory.Shared readers -> Directory.set_shared ndir vpn readers);
+            Directory.set ndir vpn state;
             if node = t.homes.(shard) then Hashtbl.remove t.rehomed vpn
             else Hashtbl.replace t.rehomed vpn node;
             (* The autopilot broadcasts its decision: every node's next
@@ -1643,7 +1572,8 @@ let stale_origin_traffic t ~node ~shard ~src ~epoch =
 let handler_unguarded t (env : Fabric.env) =
   let msg = env.Fabric.msg in
   match msg.Msg.payload with
-  | Messages.Page_request { pid; vpn; access; epoch } when pid = t.pid ->
+  | Messages.Page_request { pid; vpn; access; epoch; probe } when pid = t.pid
+    ->
       let shard = shard_of t vpn in
       let home = page_home t vpn in
       if msg.Msg.dst <> home then begin
@@ -1666,7 +1596,7 @@ let handler_unguarded t (env : Fabric.env) =
         end
         else
           match
-            origin_grant t ~shard ~home ~dir:(page_dir t vpn)
+            origin_grant ~probe t ~shard ~home ~dir:(page_dir t vpn)
               ~requester:msg.Msg.src ~vpn ~access
           with
           | `Nack ->
@@ -1922,17 +1852,14 @@ let promote t ~shard ~new_origin ~dir_entries ~page_data =
   let standby_had = Hashtbl.create 64 in
   List.iter
     (fun (vpn, state) ->
-      let recorded =
-        match state with
-        | Directory.Exclusive owner -> owner = new_origin
-        | Directory.Shared readers -> Node_set.mem readers new_origin
-      in
       (* The record alone is not enough: a grant TO the standby commits
          before its reply leaves the home, so the entry may describe a
          copy whose bytes died in flight. Only a valid local PTE proves
          the bytes arrived; otherwise the replicated image (logged, by
          append order, before that grant committed) is the fresh one. *)
-      if recorded && Page_table.allows t.ptables.(new_origin) vpn Perm.Read
+      if
+        Transition.holds state new_origin
+        && Page_table.allows t.ptables.(new_origin) vpn Perm.Read
       then Hashtbl.replace standby_had vpn ())
     dir_entries;
   List.iter
@@ -2029,15 +1956,14 @@ let fence_survivors t ~shard =
               List.iter
                 (fun vpn ->
                   Stats.incr t.stats "ha.fence_demoted";
-                  match Directory.state t.dirs.(shard) vpn with
-                  | Directory.Exclusive owner when owner = node ->
-                      Directory.forget t.dirs.(shard) vpn
-                  | Directory.Shared readers when Node_set.mem readers node ->
-                      let rest = Node_set.remove readers node in
-                      if Node_set.is_empty rest then
-                        Directory.forget t.dirs.(shard) vpn
-                      else Directory.set_shared t.dirs.(shard) vpn rest
-                  | _ -> ())
+                  let dir = t.dirs.(shard) in
+                  (* Falling back to the home is forgetting the entry. *)
+                  match
+                    Transition.drop (Directory.state dir vpn) ~home ~node
+                  with
+                  | None -> ()
+                  | Some (Directory.Exclusive _) -> Directory.forget dir vpn
+                  | Some next -> Directory.set dir vpn next)
                 missing
           | _ -> failwith "Coherence: unexpected fence reply"
           | exception Fabric.Unreachable _ -> crash_escalate t ~src ~target:node)
@@ -2049,40 +1975,29 @@ let fence_survivors t ~shard =
 (* ------------------------------------------------------------------ *)
 (* Invariant checking (tests).                                         *)
 
-let check_entry_invariants t vpn state =
-  match state with
-  | Directory.Exclusive owner ->
-      Array.iteri
-        (fun node pt ->
-          match Page_table.get pt vpn with
-          | Some Perm.Write when node <> owner ->
-              failwith
-                (Printf.sprintf
-                   "Coherence: node %d has Write PTE on page %d owned by %d"
-                   node vpn owner)
-          | Some Perm.Read when node <> owner ->
-              failwith
-                (Printf.sprintf
-                   "Coherence: node %d has Read PTE on page %d exclusively \
-                    owned by %d"
-                   node vpn owner)
-          | _ -> ())
-        t.ptables
-  | Directory.Shared readers ->
-      Array.iteri
-        (fun node pt ->
-          match Page_table.get pt vpn with
-          | Some Perm.Write ->
-              failwith
-                (Printf.sprintf
-                   "Coherence: node %d has Write PTE on shared page %d" node
-                   vpn)
-          | Some Perm.Read when not (Node_set.mem readers node) ->
-              failwith
-                (Printf.sprintf
-                   "Coherence: node %d has stale Read PTE on page %d" node vpn)
-          | _ -> ())
-        t.ptables
+(* A node maps a page only at the access its listing allows: the
+   exclusive owner at any, a listed reader at Read. Conversely, every live
+   holder the directory lists, the home aside (its staging store is its
+   copy), maps the page: a listed holder without a mapping would be
+   granted ownership without data on its next fault and read bytes it
+   never received. *)
+let check_entry_invariants t ~home vpn state =
+  Array.iteri
+    (fun node pt ->
+      let fail what =
+        failwith (Printf.sprintf "Coherence: node %d %s page %d" node what vpn)
+      in
+      let listed = Transition.holds state node in
+      match (Page_table.get pt vpn, state) with
+      | Some Perm.Write, Directory.Exclusive owner when owner = node -> ()
+      | Some Perm.Write, _ -> fail "has a Write PTE without owning"
+      | Some Perm.Read, _ when not listed -> fail "has a stale Read PTE on"
+      | None, _
+        when listed && node <> home
+             && not (Fabric.crash_detected t.fabric ~node) ->
+          fail "is listed in the directory without a PTE for"
+      | (Some Perm.Read | None), _ -> ())
+    t.ptables
 
 let check_invariants t =
   Array.iteri
@@ -2101,7 +2016,7 @@ let check_invariants t =
                  "Coherence: re-homed page %d still tracked by its shard \
                   directory"
                  vpn);
-          check_entry_invariants t vpn state))
+          check_entry_invariants t ~home:(Directory.origin dir) vpn state))
     t.dirs;
   (* Re-home overlay state: a re-homed page is tracked at its target (and
      nowhere else), every overlay entry is accounted for in the re-home
@@ -2124,5 +2039,5 @@ let check_invariants t =
                  "Coherence: node %d's overlay directory tracks page %d \
                   without a re-home record"
                  target vpn);
-          check_entry_invariants t vpn state))
+          check_entry_invariants t ~home:(Directory.origin dir) vpn state))
     t.rehome_dirs

@@ -18,7 +18,8 @@
     home downgrades an exclusive owner (pulling fresh data back); to
     satisfy a write it revokes every other copy in parallel. Ownership is
     granted without page data whenever the requester already holds an
-    up-to-date copy (read → write upgrades).
+    up-to-date copy (read → write upgrades). Every grant path takes this
+    decision from {!Transition.decide}.
 
     With a positive {!Proto_config.prefetch_depth}, remote fault leaders
     feed a per-(node, thread) {!Prefetch} stream detector and resolve up
@@ -435,7 +436,9 @@ val check_invariants : t -> unit
 (** Directory/page-table consistency, per shard: at most one exclusive
     owner; a node has a Write PTE iff the shard directory says it is the
     exclusive owner; Read PTEs only on shared readers or the exclusive
-    owner; every tracked page belongs to the directory's own shard. The
+    owner; every listed holder other than the home that is not declared
+    dead has a PTE for the page; every tracked page belongs to the
+    directory's own shard. The
     re-home overlay is checked too: a re-homed page is tracked exactly
     once, at its dynamic home's overlay directory, under the same PTE
     discipline. Call only when the simulation is quiescent. *)

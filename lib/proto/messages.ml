@@ -8,6 +8,7 @@ type Dex_net.Msg.payload +=
       vpn : Dex_mem.Page.vpn;
       access : Dex_mem.Perm.access;
       epoch : int;
+      probe : bool;
     }
   | Page_grant of { pid : int; vpn : Dex_mem.Page.vpn; data : bytes option }
   | Page_nack of { pid : int; vpn : Dex_mem.Page.vpn }

@@ -20,11 +20,16 @@ type Dex_net.Msg.payload +=
       vpn : Dex_mem.Page.vpn;
       access : Dex_mem.Perm.access;
       epoch : int;
+      probe : bool;
     }
       (** node → origin: fault on [vpn]; requester is the message source.
           [epoch] is the requester's view of the origin epoch — part of
           the 64-byte control header, not extra wire bytes; always [0]
-          unless a failover has promoted a standby. *)
+          unless a failover has promoted a standby. A [probe] is a
+          duplicate fault's request with fault coalescing off: the node
+          discards the reply, so the origin grants it only when the
+          requester already holds the page at [access] and NACKs it
+          otherwise, moving no ownership either way. *)
   | Page_grant of { pid : int; vpn : Dex_mem.Page.vpn; data : bytes option }
       (** origin → node: ownership granted; [data] carries page contents
           when the requester lacked a valid copy and the page is

@@ -27,7 +27,8 @@ type t = {
   page_msg_size : int;  (** wire size of a grant carrying page data *)
   coalesce_faults : bool;
       (** leader/follower coalescing (§III-C); disable for ablation — every
-          thread then runs its own protocol request *)
+          thread then runs its own protocol round trip (a duplicate's
+          request is a probe that moves no ownership) *)
   grant_without_data : bool;
       (** skip the page payload when the requester holds a valid copy
           (§III-B); disable for ablation — every grant then ships 4 KB *)

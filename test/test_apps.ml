@@ -289,6 +289,25 @@ let test_ablation_without_nodata_grants () =
     (Int64.of_int (Grp.expected_matches params ~seed:11))
     r.A.checksum
 
+(* With fault coalescing off, each concurrent same-page fault on a node
+   sends its own request and drops the reply. Those duplicates must not
+   move ownership: a home that recorded their grants would list holders
+   without a copy and later grant them ownership without data. *)
+let test_ablation_without_coalescing () =
+  let proto =
+    { Dex_proto.Proto_config.default with coalesce_faults = false }
+  in
+  let expected = Int64.of_int (Grp.expected_matches grp_small ~seed:11) in
+  List.iter
+    (fun nodes ->
+      let r =
+        Grp.run ~nodes ~variant:A.Initial ~proto ~params:grp_small ()
+      in
+      Alcotest.(check int64)
+        (Printf.sprintf "GRP@%d counts every key occurrence" nodes)
+        expected r.A.checksum)
+    [ 2; 4 ]
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -329,5 +348,7 @@ let () =
             test_one_shard_spellings_agree;
           Alcotest.test_case "no-data-grant ablation keeps answers" `Quick
             test_ablation_without_nodata_grants;
+          Alcotest.test_case "no-coalescing ablation keeps answers" `Quick
+            test_ablation_without_coalescing;
         ] );
     ]

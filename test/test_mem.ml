@@ -240,7 +240,7 @@ let test_directory_default_origin () =
 let test_directory_transitions () =
   let d = Directory.create ~origin:0 in
   Directory.set_shared d 5 (Node_set.of_list [ 0; 2 ]);
-  Directory.add_reader d 5 3;
+  Directory.set d 5 (Directory.Shared (Node_set.of_list [ 0; 2; 3 ]));
   (match Directory.state d 5 with
   | Directory.Shared readers ->
       Alcotest.(check (list int)) "readers" [ 0; 2; 3 ]
@@ -252,9 +252,9 @@ let test_directory_transitions () =
   | _ -> Alcotest.fail "expected exclusive 2");
   check_bool "valid copy at writer" true (Directory.has_valid_copy d 5 2);
   check_bool "no copy elsewhere" false (Directory.has_valid_copy d 5 0);
-  Alcotest.check_raises "add_reader under exclusive"
-    (Invalid_argument "Directory.add_reader: page exclusively owned elsewhere")
-    (fun () -> Directory.add_reader d 5 1);
+  Alcotest.check_raises "empty reader set"
+    (Invalid_argument "Directory.set_shared: empty reader set") (fun () ->
+      Directory.set d 5 (Directory.Shared Node_set.empty));
   Directory.check_invariants d
 
 let test_directory_busy_lock () =
@@ -280,7 +280,8 @@ let prop_directory_invariants =
           if exclusive then Directory.set_exclusive d p node
           else
             match Directory.state d p with
-            | Directory.Shared _ -> Directory.add_reader d p node
+            | Directory.Shared readers ->
+                Directory.set_shared d p (Node_set.add readers node)
             | Directory.Exclusive owner ->
                 Directory.set_shared d p (Node_set.of_list [ owner; node ]))
         ops;

@@ -618,6 +618,157 @@ let test_revoke_parallel_zero_cost_handlers () =
     (Stats.get (Coherence.stats coh) "revoke.invalidate" >= 3);
   Coherence.check_invariants coh
 
+(* The §III-B table, exhaustively at three nodes: every directory state
+   (3 exclusive, 7 shared) × access × requester × home ×
+   [grant_without_data]. Each verdict is applied to a model of which node
+   holds a copy at which access: revocations first, then the grant. *)
+let test_transition_table () =
+  let nodes = [ 0; 1; 2 ] in
+  let members = function
+    | Directory.Exclusive owner -> [ owner ]
+    | Directory.Shared readers -> Node_set.to_list readers
+  in
+  let states =
+    List.map (fun n -> Directory.Exclusive n) nodes
+    @ List.map
+        (fun mask ->
+          Directory.Shared
+            (Node_set.of_list
+               (List.filter (fun n -> mask land (1 lsl n) <> 0) nodes)))
+        [ 1; 2; 3; 4; 5; 6; 7 ]
+  in
+  let cases = ref 0 in
+  List.iter
+    (fun state ->
+      List.iter
+        (fun access ->
+          List.iter
+            (fun requester ->
+              List.iter
+                (fun home ->
+                  List.iter
+                    (fun grant_without_data ->
+                      incr cases;
+                      let v =
+                        Transition.decide state ~access ~requester ~home
+                          ~grant_without_data
+                      in
+                      let label what =
+                        Printf.sprintf "%s [%s] %s by %d at home %d%s: %s"
+                          (match state with
+                          | Directory.Exclusive _ -> "exclusive"
+                          | Directory.Shared _ -> "shared")
+                          (String.concat ","
+                             (List.map string_of_int (members state)))
+                          (match access with
+                          | Perm.Read -> "read"
+                          | Perm.Write -> "write")
+                          requester home
+                          (if grant_without_data then "" else " (always data)")
+                          what
+                      in
+                      let copies =
+                        match state with
+                        | Directory.Exclusive owner -> [ (owner, Perm.Write) ]
+                        | Directory.Shared readers ->
+                            List.map
+                              (fun r -> (r, Perm.Read))
+                              (Node_set.to_list readers)
+                      in
+                      let copies =
+                        match v.reclaim with
+                        | None -> copies
+                        | Some (owner, Messages.Downgrade) ->
+                            List.map
+                              (fun (n, a) ->
+                                if n = owner then (n, Perm.Read) else (n, a))
+                              copies
+                        | Some (owner, Messages.Invalidate) ->
+                            List.remove_assoc owner copies
+                      in
+                      let revoked n =
+                        List.mem n v.invalidate
+                        || (v.invalidate_home && n = home)
+                      in
+                      let copies =
+                        List.filter (fun (n, _) -> not (revoked n)) copies
+                      in
+                      if access = Perm.Write then
+                        check_bool
+                          (label "a write revokes every other holder")
+                          true
+                          (List.for_all (fun (n, _) -> n = requester) copies);
+                      let level =
+                        if List.assoc_opt requester copies = Some Perm.Write
+                        then Perm.Write
+                        else access
+                      in
+                      let copies =
+                        (requester, level) :: List.remove_assoc requester copies
+                      in
+                      let after = Option.value v.next ~default:state in
+                      check_bool (label "single writer, multiple readers") true
+                        (List.for_all (fun (_, a) -> a = Perm.Read) copies
+                        || List.length copies = 1);
+                      check_bool (label "the requester holds the page") true
+                        (match (access, after) with
+                        | Perm.Write, Directory.Exclusive owner ->
+                            owner = requester
+                        | Perm.Write, Directory.Shared _ -> false
+                        | Perm.Read, _ -> List.mem requester (members after));
+                      List.iter
+                        (fun (n, a) ->
+                          check_bool (label "every copy is listed") true
+                            (List.mem n (members after)
+                            && (a = Perm.Read
+                               || after = Directory.Exclusive n)))
+                        copies;
+                      List.iter
+                        (fun n ->
+                          check_bool (label "every listed holder has a copy")
+                            true
+                            (n = home || List.mem_assoc n copies))
+                        (members after);
+                      let had_copy = List.mem requester (members state) in
+                      check_bool (label "had_copy") had_copy v.had_copy;
+                      check_bool (label "data ships")
+                        (requester <> home
+                        && ((not had_copy) || not grant_without_data))
+                        v.wire_data;
+                      check_bool (label "no-op exactly when nothing changes")
+                        (v.reclaim = None && v.invalidate = []
+                        && (not v.invalidate_home)
+                        && after = state)
+                        v.noop)
+                    [ true; false ])
+                nodes)
+            nodes)
+        [ Perm.Read; Perm.Write ])
+    states;
+  check_int "cases" (10 * 2 * 3 * 3 * 2) !cases;
+  (* Dropping a node: it leaves the holders, and an emptied entry falls
+     back to exclusive at the home. *)
+  List.iter
+    (fun state ->
+      List.iter
+        (fun node ->
+          List.iter
+            (fun home ->
+              match Transition.drop state ~home ~node with
+              | None ->
+                  check_bool "drop: only holders" false
+                    (List.mem node (members state))
+              | Some next ->
+                  let rest = List.filter (( <> ) node) (members state) in
+                  check_bool "drop: holder removed" true
+                    (match next with
+                    | Directory.Exclusive h -> rest = [] && h = home
+                    | Directory.Shared readers ->
+                        Node_set.to_list readers = rest))
+            nodes)
+        nodes)
+    states
+
 let prop_backoff_clamped =
   (* The retry delay must stay within +/- 25% of the undithered exponential
      delay for ANY backoff_base, including degenerate ones (0 or tiny):
@@ -1042,6 +1193,8 @@ let () =
             test_batched_write_scan_revokes_readers;
           Alcotest.test_case "revoke fan-out with zero-cost handlers" `Quick
             test_revoke_parallel_zero_cost_handlers;
+          Alcotest.test_case "ownership transition table" `Quick
+            test_transition_table;
         ]
         @ qsuite
             [
